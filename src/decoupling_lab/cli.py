@@ -5,9 +5,7 @@ results, a summary, and meta information; a flat CSV export (one row per check
 per threshold) is written next to the JSON report for plotting.
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error,
-3 budget/resource error.  The environment variable DECOUPLING_LAB_WORKERS
-caps worker parallelism (the current driver runs instances sequentially, so
-any cap >= 1 is honored trivially).
+3 budget/resource error.
 """
 
 from __future__ import annotations
@@ -140,7 +138,6 @@ def run(cfg: CorpusConfig, out_path: str | None = None) -> tuple[dict, int]:
             "library_version": __version__,
             "format_version": FORMAT_VERSION,
             "wall_clock_seconds": elapsed,
-            "workers": _worker_cap(),
         },
         "table": body["table"],
     }
@@ -161,16 +158,6 @@ def _write_table_csv(path: str, rows: list[dict]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("DECOUPLING_LAB_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_config(args) -> tuple[CorpusConfig, str | None]:

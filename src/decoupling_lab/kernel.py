@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -20,6 +20,7 @@ from .errors import BudgetExceededError, ValidationError
 from .value_space import DiscreteDistribution
 
 FACTORIAL_BUDGET = 7  # largest k for which permutation loops are allowed
+MAX_TUPLE_COUNT = 2 ** 24  # ceiling on summed tuples and on coefficient-tensor entries
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,11 @@ class KernelFamily:
 
     `evaluate(idx, args)` takes a tuple of k distinct 0-based indices and a
     tuple of k argument arrays; it must be deterministic and reentrant.
+
+    A multilinear-plus-constant kernel may also carry `coeffs`, of shape (n,)*k
+    (plus (dim,) when dim > 1) and zero off the distinct-index set, and `const`:
+    evaluate(idx, args) == coeffs[idx] * args[0] * ... * args[k-1] + const.
+    The U-statistic sums then contract the tensor instead of calling `evaluate`.
     """
 
     k: int
@@ -36,6 +42,8 @@ class KernelFamily:
     symmetric_claimed: bool = False
     dim: int = 1
     label: str = "kernel"
+    coeffs: np.ndarray | None = field(default=None, compare=False, repr=False)
+    const: float | np.ndarray = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
@@ -45,6 +53,17 @@ class KernelFamily:
 def distinct_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of k pairwise-distinct indices from {0,...,n-1}."""
     return itertools.permutations(range(n), k)
+
+
+@lru_cache(maxsize=8)
+def distinct_mask(n: int, k: int) -> np.ndarray:
+    """Read-only boolean (n,)*k array, True where the k indices are pairwise distinct."""
+    grids = np.ix_(*[np.arange(n)] * k)
+    mask = np.ones((n,) * k, dtype=bool)
+    for a, b in itertools.combinations(range(k), 2):
+        mask &= grids[a] != grids[b]
+    mask.flags.writeable = False
+    return mask
 
 
 def count_distinct_tuples(n: int, k: int) -> int:
@@ -125,10 +144,18 @@ def _broadcast_const(c, args):
     return base[..., None] + c
 
 
+def _zero_tensor(n: int, k: int, dim: int = 1):
+    """Zero coefficient tensor, or None when it would exceed MAX_TUPLE_COUNT entries."""
+    if n ** k * dim > MAX_TUPLE_COUNT:
+        return None
+    return np.zeros((n,) * k + ((dim,) if dim > 1 else ()))
+
+
 def constant_kernel(k: int, n: int, c=1.0, dim: int = 1) -> KernelFamily:
     def ev(idx, args):
         return _broadcast_const(c, args)
-    return KernelFamily(k, n, ev, symmetric_claimed=True, dim=dim, label=f"const({c})")
+    return KernelFamily(k, n, ev, symmetric_claimed=True, dim=dim, label=f"const({c})",
+                        coeffs=_zero_tensor(n, k, dim), const=c)
 
 
 def product_kernel(k: int, n: int) -> KernelFamily:
@@ -138,14 +165,17 @@ def product_kernel(k: int, n: int) -> KernelFamily:
         for a in args[1:]:
             out = out * np.asarray(a, dtype=float)
         return out
-    return KernelFamily(k, n, ev, symmetric_claimed=True, label="product")
+    coeffs = distinct_mask(n, k).astype(float) if n ** k <= MAX_TUPLE_COUNT else None
+    return KernelFamily(k, n, ev, symmetric_claimed=True, label="product",
+                        coeffs=coeffs)
 
 
 def affine_product_kernel(k: int, n: int, c: float = 1.0) -> KernelFamily:
     base = product_kernel(k, n)
     def ev(idx, args):
         return base.evaluate(idx, args) + c
-    return KernelFamily(k, n, ev, symmetric_claimed=True, label=f"product+{c}")
+    return KernelFamily(k, n, ev, symmetric_claimed=True, label=f"product+{c}",
+                        coeffs=base.coeffs, const=c)
 
 
 def first_argument_kernel(k: int, n: int) -> KernelFamily:
@@ -164,21 +194,22 @@ def random_coefficient_kernel(k: int, n: int, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     coeffs = {}
+    tensor = _zero_tensor(n, k, dim)
     for t in distinct_tuples(n, k):
         key = tuple(sorted(t)) if symmetric else t
         if key not in coeffs:
             c = rng.integers(-3, 4, size=dim)
             coeffs[key] = float(c[0]) if dim == 1 else c.astype(float)
-    prod = product_kernel(k, n)
+        if tensor is not None:
+            tensor[t] = coeffs[key]
 
     def ev(idx, args):
-        key = tuple(sorted(idx)) if symmetric else tuple(idx)
-        c = coeffs[key]
-        p = prod.evaluate(idx, args)
+        c = coeffs[tuple(sorted(idx)) if symmetric else tuple(idx)]
+        p = math.prod(np.asarray(a, dtype=float) for a in args)
         if dim == 1:
             return c * p
         return np.asarray(p, dtype=float)[..., None] * c
 
     tag = "sym-coeff" if symmetric else "coeff"
     return KernelFamily(k, n, ev, symmetric_claimed=symmetric, dim=dim,
-                        label=f"{tag}(seed={seed})")
+                        label=f"{tag}(seed={seed})", coeffs=tensor)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.stats import beta, qmc
 
 from .errors import BudgetExceededError, ValidationError
-from .kernel import KernelFamily, distinct_tuples
-from .ustat_engine import _sum_terms
+from .kernel import KernelFamily
+from .ustat_engine import statistic
 from .value_space import DEFAULT_ENUM_BUDGET, DUAL_NORM, DiscreteDistribution, batch_norm
 
 _VALUE_DECIMALS = 12  # aggregation resolution for norm values
@@ -102,19 +102,18 @@ class StatisticSpec:
             return 2
         return k  # symmetrized
 
-    def weighted_patterns(self):
-        """(pattern, weight) pairs whose weighted pattern sums give the statistic."""
+    def patterns(self):
+        """Copy patterns whose pattern sums add up to the statistic."""
         k = self.kernel.k
         if self.mode == "coupled":
-            return [((0,) * k, 1.0)]
+            return [(0,) * k]
         if self.mode == "pattern":
-            return [(tuple(self.pattern), 1.0)]
+            return [tuple(self.pattern)]
         if self.mode == "mixed":
-            return [(p, 1.0) for p in itertools.product(range(self.l), repeat=k)]
+            return list(itertools.product(range(self.l), repeat=k))
         if self.mode == "not_all_equal":
-            return [(p, 1.0) for p in itertools.product((0, 1), repeat=k)
-                    if len(set(p)) > 1]
-        return [(pi, 1.0) for pi in itertools.permutations(range(k))]
+            return [p for p in itertools.product((0, 1), repeat=k) if len(set(p)) > 1]
+        return list(itertools.permutations(range(k)))
 
 
 def evaluate_norms(spec: StatisticSpec, samples: np.ndarray) -> np.ndarray:
@@ -125,13 +124,7 @@ def evaluate_norms(spec: StatisticSpec, samples: np.ndarray) -> np.ndarray:
         raise ValidationError("expected batch of sample matrices (B, n, copies)")
     if samples.shape[2] < spec.copies_needed:
         raise ValidationError("not enough copies for this statistic")
-    terms = []
-    for pattern, w in spec.weighted_patterns():
-        for idx in distinct_tuples(kf.n, kf.k):
-            args = tuple(samples[:, idx[r], pattern[r]] for r in range(kf.k))
-            v = kf.evaluate(idx, args)
-            terms.append(v if w == 1.0 else w * np.asarray(v))
-    total = _sum_terms(terms)
+    total = statistic(kf, samples, spec.mode, spec.pattern, spec.l)
     return batch_norm(total, spec.norm_kind, kf.dim)
 
 

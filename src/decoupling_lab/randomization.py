@@ -15,9 +15,9 @@ import itertools
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .kernel import KernelFamily, distinct_tuples
-from .ustat_engine import _sum_terms, mixed_sum
-from .value_space import DiscreteDistribution, norm
+from .kernel import KernelFamily
+from .ustat_engine import mixed_sum, slot_sum, statistic
+from .value_space import DiscreteDistribution, norm, product_enumerate
 
 DEFAULT_RANDOMIZATION_BUDGET = 2 ** 24
 
@@ -80,25 +80,8 @@ def selector_couple(s: np.ndarray, choices) -> np.ndarray:
 def _pattern_sum_under_signs(kf: KernelFamily, s: np.ndarray,
                              signs: np.ndarray, pattern) -> np.ndarray:
     """pattern_sum on the sign-coupled sample, vectorized over a batch of signs."""
-    pattern = tuple(int(p) for p in pattern)
-    terms = []
-    for idx in distinct_tuples(kf.n, kf.k):
-        args = tuple(
-            np.where(signs[:, idx[r]] > 0, s[idx[r], pattern[r]], s[idx[r], 1 - pattern[r]])
-            for r in range(kf.k)
-        )
-        terms.append(kf.evaluate(idx, args))
-    return _sum_terms(terms)
-
-
-def _coupled_sum_under_choices(kf: KernelFamily, s: np.ndarray,
-                               choices: np.ndarray) -> np.ndarray:
-    """Coupled statistic on the selector-coupled sample, batched over choices."""
-    z = s[np.arange(s.shape[0])[None, :], choices]  # (B, n)
-    terms = []
-    for idx in distinct_tuples(kf.n, kf.k):
-        terms.append(kf.evaluate(idx, tuple(z[:, idx[r]] for r in range(kf.k))))
-    return _sum_terms(terms)
+    coupled = np.where(signs[:, :, None] > 0, s, s[:, ::-1])  # (B, n, 2)
+    return statistic(kf, coupled, "pattern", tuple(int(p) for p in pattern))
 
 
 def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
@@ -115,22 +98,10 @@ def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
     pattern = tuple(int(p) for p in pattern)
     k = kf.k
     lhs = (2.0 ** k) * _pattern_sum_under_signs(kf, s, signs, pattern)
-    rhs_terms = []
-    for idx in distinct_tuples(kf.n, kf.k):
-        for j in itertools.product((0, 1), repeat=k):
-            coeff = np.ones(signs.shape[0])
-            for r in range(k):
-                sr = signs[:, idx[r]]
-                coeff = coeff * (1 + sr if j[r] == pattern[r] else 1 - sr)
-            fval = np.asarray(
-                kf.evaluate(idx, tuple(float(s[idx[r], j[r]]) for r in range(k))),
-                dtype=float,
-            )
-            if kf.dim == 1:
-                rhs_terms.append(coeff * fval)
-            else:
-                rhs_terms.append(coeff[:, None] * fval)
-    rhs = _sum_terms(rhs_terms)
+    rhs = 0.0
+    for j in itertools.product((0, 1), repeat=k):
+        weights = [1 + signs if j[r] == pattern[r] else 1 - signs for r in range(k)]
+        rhs = rhs + slot_sum(kf, s, [(c,) for c in j], weights)
     diff = lhs - rhs
     if kf.dim == 1:
         return np.abs(diff)
@@ -170,8 +141,8 @@ def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int,
     n = s.shape[0]
     if l ** n > budget:
         raise BudgetExceededError(f"{l}^{n} selector matrices exceed budget {budget}")
-    choices = all_choice_vectors(n, l)
-    values = _coupled_sum_under_choices(kf, s[:, :l], choices)
+    z = s[np.arange(n)[None, :], all_choice_vectors(n, l)]  # (l^n, n) coupled rows
+    values = statistic(kf, z[..., None], "coupled")
     return np.mean(values, axis=0)
 
 
@@ -201,10 +172,7 @@ def distributional_equality_check(dist: DiscreteDistribution, n: int,
 
     induced: dict = {}
     reference: dict = {}
-    for combo in itertools.product(range(m), repeat=cells):
-        p_sample = 1.0
-        for i in combo:
-            p_sample *= dist.probs[i]
+    for combo, p_sample in product_enumerate(dist, cells, budget):
         rows = [combo[i * (cells // n):(i + 1) * (cells // n)] for i in range(n)]
         if coupling == "sign":
             key_ref = tuple(rows)
@@ -220,7 +188,7 @@ def distributional_equality_check(dist: DiscreteDistribution, n: int,
                 key = tuple(rows[i][choice[i]] for i in range(n))
                 induced[key] = induced.get(key, 0.0) + p_sample / rand_count
     if coupling == "selector":
-        for combo, p in _product_assignments(dist, n):
+        for combo, p in product_enumerate(dist, n, budget):
             reference[combo] = reference.get(combo, 0.0) + p
 
     tv = 0.5 * sum(
@@ -228,14 +196,6 @@ def distributional_equality_check(dist: DiscreteDistribution, n: int,
         for key in set(induced) | set(reference)
     )
     return tv <= tol
-
-
-def _product_assignments(dist: DiscreteDistribution, count: int):
-    for combo in itertools.product(range(dist.size), repeat=count):
-        p = 1.0
-        for i in combo:
-            p *= dist.probs[i]
-        yield combo, p
 
 
 def pattern_invariance_spread(kf: KernelFamily, s: np.ndarray,

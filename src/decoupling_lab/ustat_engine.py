@@ -5,8 +5,10 @@ the realization of the j-th independent copy of the i-th variable.  A leading
 batch axis is allowed everywhere, so the same code paths serve single
 realizations and vectorized Monte Carlo / enumeration sweeps.
 
-Tuple iteration is lexicographic and accumulation is chunked pairwise, so
-results are reproducible bit for bit.
+Every sum goes through one core, `slot_sum`.  A kernel that carries a
+coefficient tensor is summed by one tensor contraction (fast path).  Any other
+kernel is called once per copy pattern and index tuple, in lexicographic
+order, and the terms are accumulated in place (generic path).
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ import math
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .kernel import FACTORIAL_BUDGET, KernelFamily, distinct_tuples
-
-_PAIRWISE_CHUNK = 2 ** 12
-MAX_TUPLE_COUNT = 2 ** 24
+from .kernel import (FACTORIAL_BUDGET, MAX_TUPLE_COUNT, KernelFamily,
+                     distinct_mask, distinct_tuples)
 
 
 def _check_sample(kf: KernelFamily, s: np.ndarray, copies_needed: int) -> np.ndarray:
@@ -39,20 +39,61 @@ def _check_sample(kf: KernelFamily, s: np.ndarray, copies_needed: int) -> np.nda
     return s
 
 
-def _sum_terms(terms):
-    """Chunked pairwise accumulation of a sequence of equal-shaped arrays."""
-    partials = []
-    chunk = []
-    for t in terms:
-        chunk.append(np.asarray(t, dtype=float))
-        if len(chunk) == _PAIRWISE_CHUNK:
-            partials.append(np.sum(np.stack(chunk), axis=0))
-            chunk = []
-    if chunk:
-        partials.append(np.sum(np.stack(chunk), axis=0))
-    if len(partials) == 1:
-        return partials[0]
-    return np.sum(np.stack(partials), axis=0)
+def _contract(tensor: np.ndarray, cols) -> np.ndarray:
+    """sum over idx of tensor[idx] * cols[0][..., idx_0] * ... * cols[k-1][..., idx_{k-1}],
+    one slot at a time as (batched) matrix products."""
+    cols = np.broadcast_arrays(*cols)
+    n = tensor.shape[0]
+    acc = cols[0].reshape(-1, n) @ tensor.reshape(n, -1)
+    for c in cols[1:]:
+        acc = (c.reshape(-1, 1, n) @ acc.reshape(len(acc), n, acc.shape[1] // n))[:, 0]
+    return acc.reshape(cols[0].shape[:-1] + tensor.shape[len(cols):])
+
+
+def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray:
+    """Sum over copy patterns j in slots[0] x ... x slots[k-1] and distinct index
+    tuples idx of  w(idx) * f_idx(s[..., idx_0, j_0], ..., s[..., idx_{k-1}, j_{k-1}]),
+    where w(idx) is the product of weights[r][..., idx_r] (1 without weights).
+
+    `s` has shape (..., n, copies) and each weights[r] shape (..., n).  Inputs
+    are not validated; the public sums below do that.
+    """
+    k = kf.k
+    if kf.coeffs is not None:
+        # multilinearity: the patterns of each slot add up column-wise
+        weights = weights or [np.ones(kf.n)] * k
+        cols = [s[..., list(sl)].sum(axis=-1) * w for sl, w in zip(slots, weights)]
+        count = math.prod(len(sl) for sl in slots) * _contract(
+            distinct_mask(kf.n, k), weights)
+        const = np.broadcast_to(kf.const, kf.coeffs.shape[k:])  # () or (dim,)
+        return _contract(kf.coeffs, cols) + np.multiply.outer(count, const)
+    shapes = [s.shape[:-2]] + [w.shape[:-1] for w in weights or ()]
+    acc = np.zeros(np.broadcast_shapes(*shapes) + ((kf.dim,) if kf.dim > 1 else ()))
+    for j in itertools.product(*slots):
+        for idx in distinct_tuples(kf.n, k):
+            term = kf.evaluate(idx, tuple(s[..., idx[r], j[r]] for r in range(k)))
+            if weights is not None:
+                w = math.prod(weights[r][..., idx[r]] for r in range(k))
+                term = term * (w[..., None] if kf.dim > 1 else w)
+            acc += term
+    return acc
+
+
+def statistic(kf: KernelFamily, s: np.ndarray, mode: str, pattern=None,
+              l: int | None = None) -> np.ndarray:
+    """Unvalidated sum of one StatisticSpec mode on samples of shape (..., n, copies)."""
+    k = kf.k
+    if mode == "coupled":
+        return slot_sum(kf, s, [(0,)] * k)
+    if mode == "pattern":
+        return slot_sum(kf, s, [(p,) for p in pattern])
+    if mode == "mixed":
+        return slot_sum(kf, s, [range(l)] * k)
+    if mode == "not_all_equal":
+        return (slot_sum(kf, s, [range(2)] * k)
+                - slot_sum(kf, s, [(0,)] * k) - slot_sum(kf, s, [(1,)] * k))
+    return sum(slot_sum(kf, s, [(p,) for p in pi])  # symmetrized: k! patterns
+               for pi in itertools.permutations(range(k)))
 
 
 def pattern_sum(kf: KernelFamily, s: np.ndarray, pattern) -> np.ndarray:
@@ -65,35 +106,23 @@ def pattern_sum(kf: KernelFamily, s: np.ndarray, pattern) -> np.ndarray:
     if len(pattern) != kf.k:
         raise ValidationError("pattern length must equal kernel order")
     s = _check_sample(kf, s, max(pattern) + 1)
-    terms = (
-        kf.evaluate(idx, tuple(s[..., idx[r], pattern[r]] for r in range(kf.k)))
-        for idx in distinct_tuples(kf.n, kf.k)
-    )
-    return _sum_terms(terms)
+    return statistic(kf, s, "pattern", pattern)
 
 
 def mixed_sum(kf: KernelFamily, s: np.ndarray, l: int) -> np.ndarray:
     """Sum over all distinct tuples and all l^k copy patterns."""
     if l < 1:
         raise ValidationError("l must be >= 1")
-    _check_sample(kf, s, l)
-    terms = (pattern_sum(kf, s, p) for p in itertools.product(range(l), repeat=kf.k))
-    return _sum_terms(terms)
+    return statistic(kf, _check_sample(kf, s, l), "mixed", l=l)
 
 
 def not_all_equal_sum(kf: KernelFamily, s: np.ndarray) -> np.ndarray:
     """Two-copy mixed sum minus the two all-equal pattern sums."""
-    k = kf.k
-    return (mixed_sum(kf, s, 2)
-            - pattern_sum(kf, s, (0,) * k)
-            - pattern_sum(kf, s, (1,) * k))
+    return statistic(kf, _check_sample(kf, s, 2), "not_all_equal")
 
 
 def symmetrized_decoupled_sum(kf: KernelFamily, s: np.ndarray) -> np.ndarray:
     """Sum over all distinct tuples and all k! permutation copy patterns."""
     if kf.k > FACTORIAL_BUDGET:
         raise BudgetExceededError(f"k={kf.k} exceeds factorial budget")
-    _check_sample(kf, s, kf.k)
-    terms = (pattern_sum(kf, s, pi)
-             for pi in itertools.permutations(range(kf.k)))
-    return _sum_terms(terms)
+    return statistic(kf, _check_sample(kf, s, kf.k), "symmetrized")

@@ -484,10 +484,10 @@ def run_corpus(cfg: CorpusConfig) -> dict:
                 ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
                 target = np.asarray(ue.mixed_sum(kf, s, l)) / float(l ** k)
                 worst = max(worst, norm(ce - target, cfg.norm_kind))
-            partition = (np.asarray(ue.mixed_sum(kf, s, 2))
-                         - np.asarray(ue.pattern_sum(kf, s, (0,) * k))
-                         - np.asarray(ue.pattern_sum(kf, s, (1,) * k))
-                         - np.asarray(ue.not_all_equal_sum(kf, s)))
+            # not_all_equal_sum against the sum of its 2^k - 2 pattern sums
+            partition = np.asarray(ue.not_all_equal_sum(kf, s)) - sum(
+                np.asarray(ue.pattern_sum(kf, s, p))
+                for p in pe.StatisticSpec(kf, "not_all_equal").patterns())
             worst = max(worst, norm(partition, cfg.norm_kind))
             inst = f"{dist_name}:{kf.label}:n{n}k{k}"
             record("identities", inst, worst <= cfg.identity_tol,
