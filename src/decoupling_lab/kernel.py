@@ -117,18 +117,21 @@ def _delta_table(k: int):
     return deltas, signs
 
 
-def mazur_orlicz_coefficient(j_tuple) -> int:
+def mazur_orlicz_coefficient(j_tuple):
     """Inclusion-exclusion coefficient over {0,1}^k selector vectors.
 
     Equals 1 when j_tuple is a permutation of (0,...,k-1) and 0 otherwise.
+    An (..., k) array of tuples gives an integer array of shape (...).
     """
-    j = tuple(int(x) for x in j_tuple)
-    k = len(j)
-    if any(x < 0 or x >= k for x in j):
-        raise ValidationError(f"entries of {j} must lie in 0..{k - 1}")
+    j = np.asarray(j_tuple, dtype=np.int64)
+    k = j.shape[-1]
+    if np.any((j < 0) | (j >= k)):
+        raise ValidationError(f"entries of {j.tolist()} must lie in 0..{k - 1}")
     deltas, signs = _delta_table(k)
-    prod = deltas[:, j].prod(axis=1)
-    return int(np.dot(signs, prod))
+    total = np.zeros(j.shape[:-1], dtype=np.int64)
+    for delta, sign in zip(deltas, signs):  # one selector vector at a time
+        total += sign * delta[j].prod(axis=-1)
+    return int(total) if j.ndim == 1 else total
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,27 @@
 """Exact and Monte Carlo laws of U-statistic norms.
 
-Exact laws come from full enumeration of sample-matrix realizations; Monte
+Exact laws by column-grid contraction; mixed laws on per-row count vectors.
+Either way the law covers every sample-matrix realization exactly.  Monte
 Carlo tails use a counter-based (Philox) generator so that identical
 (seed, spec) inputs give bit-identical output regardless of scheduling.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import beta, qmc
 
 from .errors import BudgetExceededError, ValidationError
-from .kernel import KernelFamily
-from .ustat_engine import statistic
+from .kernel import MAX_TUPLE_COUNT, KernelFamily, distinct_tuples
+from .ustat_engine import _contract, statistic
 from .value_space import DEFAULT_ENUM_BUDGET, DUAL_NORM, DiscreteDistribution, batch_norm
 
 _VALUE_DECIMALS = 12  # aggregation resolution for norm values
-_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -128,30 +129,86 @@ def evaluate_norms(spec: StatisticSpec, samples: np.ndarray) -> np.ndarray:
     return batch_norm(total, spec.norm_kind, kf.dim)
 
 
+def _cell_tensor(kf: KernelFamily, atoms: np.ndarray):
+    """(tensor, feats, const) such that, for distinct idx and atom indices a_r,
+    f_idx(atoms[a_0], ...) == const + sum over f of tensor[idx_0*F + f_0, ...] *
+    feats[a_0, f_0] * ... * feats[a_{k-1}, f_{k-1}], with F features per atom:
+    the coefficient tensor with atom values (F=1) when the kernel carries one,
+    else one `evaluate` call per distinct tuple on one-hot atom features (F=m).
+    """
+    if kf.coeffs is not None:
+        return kf.coeffs, atoms[:, None], kf.const
+    n, k, m = kf.n, kf.k, atoms.size
+    dims = (kf.dim,) if kf.dim > 1 else ()
+    if (n * m) ** k * kf.dim > MAX_TUPLE_COUNT:
+        raise BudgetExceededError(
+            f"cell tensor of {(n * m) ** k * kf.dim} entries exceeds {MAX_TUPLE_COUNT}")
+    tensor = np.zeros((n, m) * k + dims)
+    args = np.ix_(*[atoms] * k)  # every atom tuple, as broadcasting arguments
+    for idx in distinct_tuples(n, k):
+        tensor[tuple(x for i in idx for x in (i, slice(None)))] = kf.evaluate(idx, args)
+    return tensor.reshape((n * m,) * k + dims), np.eye(m), 0.0
+
+
+def _count_vectors(probs: np.ndarray, l: int):
+    """Atom counts (S, m) of l independent draws, and their multinomial probabilities."""
+    draws = np.array(list(itertools.combinations_with_replacement(range(probs.size), l)))
+    counts = (draws[:, :, None] == np.arange(probs.size)).sum(axis=1)
+    ways = [math.factorial(l) // math.prod(map(math.factorial, c)) for c in counts]
+    return counts, np.asarray(ways) * np.prod(probs ** counts, axis=1)
+
+
+def _grid_contract(tensor: np.ndarray, grid: np.ndarray, pattern, copies: int):
+    """Pattern sum of the cell tensor with each copy's column ranging over the
+    rows of `grid`: one axis per copy (length 1 if unused), then the dim axis.
+
+    Slots are sorted by copy, so the slots of copy j lead the axes left when
+    its turn comes and contract against one shared grid axis.
+    """
+    order = np.argsort(pattern, kind="stable")
+    acc = tensor.transpose(tuple(order) + tuple(range(len(order), tensor.ndim)))[None]
+    shape = []
+    for j in range(copies):  # acc: (grid points of the copies done, slots left)
+        q = pattern.count(j)
+        if q:
+            acc = np.moveaxis(_contract(np.moveaxis(acc, 0, -1), [grid] * q), -1, 0)
+        else:
+            acc = acc[:, None]
+        shape.append(acc.shape[1])
+        acc = acc.reshape((-1,) + acc.shape[2:])
+    return acc.reshape(tuple(shape) + acc.shape[1:])
+
+
 def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
               budget: int = DEFAULT_ENUM_BUDGET) -> DiscreteLaw:
-    """Exact law of the statistic norm by full enumeration of sample matrices."""
-    kf = spec.kernel
-    n, copies, m = kf.n, spec.copies_needed, dist.size
-    cells = n * copies
-    total = m ** cells
-    if total > budget:
-        raise BudgetExceededError(
-            f"{m}^{cells} = {total} realizations exceeds budget {budget}")
-    atom_vals = dist.values_array()
-    atom_probs = dist.probs_array()
-    radices = m ** np.arange(cells)
+    """Exact law of the statistic norm over all m^(n*copies) sample matrices.
 
-    values, probs = [], []
-    for start in range(0, total, _CHUNK):
-        block = np.arange(start, min(start + _CHUNK, total))
-        idx = (block[:, None] // radices[None, :]) % m  # (B, cells)
-        samples = atom_vals[idx].reshape(-1, n, copies)
-        p = atom_probs[idx].prod(axis=1)
-        norms = evaluate_norms(spec, samples)
-        values.append(norms)
-        probs.append(p)
-    return aggregate_law(np.concatenate(values), np.concatenate(probs))
+    The statistic is a multilinear form in per-cell features, so each pattern
+    sum is contracted on the grid of all column realizations, never evaluated
+    realization by realization.  A mixed statistic sees a row only through the
+    atom counts of its l copies: one coupled contraction on the grid of per-row
+    count vectors.  `budget` caps m^(n*copies), whatever grid is contracted.
+    """
+    kf = spec.kernel
+    n, k, m = kf.n, kf.k, dist.size
+    cells = n * spec.copies_needed
+    if m ** cells > budget:
+        raise BudgetExceededError(
+            f"{m}^{cells} = {m ** cells} realizations exceeds budget {budget}")
+    tensor, feats, const = _cell_tensor(kf, dist.values_array())
+    probs, patterns, copies = dist.probs_array(), spec.patterns(), spec.copies_needed
+    contracted = patterns
+    if spec.mode == "mixed":  # all l^k patterns at once, on per-row counts
+        counts, probs = _count_vectors(probs, spec.l)
+        feats, contracted, copies = counts @ feats, [(0,) * k], 1
+    idx = np.indices((probs.size,) * n).reshape(n, -1).T  # row states of every column
+    grid, grid_probs = feats[idx].reshape(len(idx), -1), probs[idx].prod(axis=1)
+    values = sum(_grid_contract(tensor, grid, p, copies) for p in contracted)
+    values = values + len(patterns) * math.perm(n, k) * np.asarray(const)
+    dims = values.shape[copies:]
+    values = np.broadcast_to(values, (len(grid),) * copies + dims).reshape((-1,) + dims)
+    probs = functools.reduce(np.multiply.outer, [grid_probs] * copies).ravel()
+    return aggregate_law(batch_norm(values, spec.norm_kind, kf.dim), probs)
 
 
 @dataclass(frozen=True)
@@ -170,15 +227,18 @@ class TailEstimate:
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.99):
     """Exact binomial confidence interval."""
+    # beta.ppf's own routine; scipy.special imports far faster than scipy.stats
+    from scipy.special import betaincinv
+
     alpha = 1.0 - confidence
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(beta.ppf(alpha / 2, successes, trials - successes + 1))
+        lo = float(betaincinv(successes, trials - successes + 1, alpha / 2))
     if successes == trials:
         hi = 1.0
     else:
-        hi = float(beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        hi = float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
 
 
@@ -217,6 +277,8 @@ class KappaResult:
 def _dual_unit_directions(dim: int, norm_kind: str, grid_size: int) -> np.ndarray:
     """Axis directions plus a deterministic low-discrepancy sphere grid,
     normalized to unit dual norm."""
+    from scipy.stats import qmc
+
     axes = np.concatenate([np.eye(dim), -np.eye(dim)])
     sob = qmc.Sobol(d=dim, scramble=False)
     pts = sob.random(grid_size)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetExceededError, ValidationError
 from .kernel import KernelFamily
 from .ustat_engine import mixed_sum, slot_sum, statistic
-from .value_space import DiscreteDistribution, norm, product_enumerate
+from .value_space import DiscreteDistribution, norm
 
 DEFAULT_RANDOMIZATION_BUDGET = 2 ** 24
 
@@ -54,27 +54,27 @@ def choices_from_selector(sm: np.ndarray) -> np.ndarray:
 
 
 def sign_couple(s: np.ndarray, signs) -> np.ndarray:
-    """Swap the two columns of row i when the i-th sign is -1."""
-    s = np.asarray(s, dtype=float)
+    """Swap the two columns of row i when the i-th sign is -1; s is (..., n, 2)."""
+    s = np.asarray(s)
     signs = np.asarray(signs, dtype=np.int64)
-    if s.ndim != 2 or s.shape[1] != 2:
+    if s.ndim < 2 or s.shape[-1] != 2:
         raise ValidationError("sign coupling needs a two-column sample matrix")
-    if signs.shape != (s.shape[0],):
+    if signs.shape != s.shape[-2:-1]:
         raise ValidationError("sign vector length must match row count")
     if not np.all(np.abs(signs) == 1):
         raise ValidationError("signs must be +/-1")
-    return np.where(signs[:, None] > 0, s, s[:, ::-1])
+    return np.where(signs[:, None] > 0, s, s[..., ::-1])
 
 
 def selector_couple(s: np.ndarray, choices) -> np.ndarray:
-    """Pick the chosen column entry per row."""
-    s = np.asarray(s, dtype=float)
+    """Pick the chosen column entry per row; s is (..., n, l)."""
+    s = np.asarray(s)
     choices = np.asarray(choices, dtype=np.int64)
-    if choices.shape != (s.shape[0],):
+    if s.ndim < 2 or choices.shape != s.shape[-2:-1]:
         raise ValidationError("choice vector length must match row count")
-    if np.any(choices < 0) or np.any(choices >= s.shape[1]):
+    if np.any(choices < 0) or np.any(choices >= s.shape[-1]):
         raise ValidationError("choice out of column range")
-    return s[np.arange(s.shape[0]), choices]
+    return s[..., np.arange(s.shape[-2]), choices]
 
 
 def _pattern_sum_under_signs(kf: KernelFamily, s: np.ndarray,
@@ -146,6 +146,14 @@ def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int,
     return np.mean(values, axis=0)
 
 
+def _law_of(atom_idx: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
+    """Law of a batch of atom-index arrays, as probabilities indexed by their
+    mixed-radix code (the order in which all_choice_vectors lists them)."""
+    flat = atom_idx.reshape(len(atom_idx), -1)
+    return np.bincount(flat @ m ** np.arange(flat.shape[1]), weights=probs,
+                       minlength=m ** flat.shape[1])
+
+
 def distributional_equality_check(dist: DiscreteDistribution, n: int,
                                   coupling: str = "selector", l: int = 2,
                                   budget: int = DEFAULT_RANDOMIZATION_BUDGET,
@@ -155,47 +163,33 @@ def distributional_equality_check(dist: DiscreteDistribution, n: int,
     For selector coupling the induced law of (Z_1,...,Z_n) is compared with
     the product law of one copy; for sign coupling the law of the full
     two-column coupled matrix is compared with the product law of two copies.
-    Returns True iff the total-variation distance is at most `tol`.
+    Every sample matrix of atom indices is coupled by `sign_couple` or
+    `selector_couple` under every randomization vector.  Returns True iff the
+    total-variation distance is at most `tol`.
     """
     m = dist.size
     if coupling == "sign":
-        cells, rand_count = 2 * n, 2 ** n
+        width, rands, couple = 2, all_sign_vectors(n), sign_couple
     elif coupling == "selector":
         if l < 1:
             raise ValidationError("l must be >= 1")
-        cells, rand_count = n * l, l ** n
+        width, rands, couple = l, all_choice_vectors(n, l), selector_couple
     else:
         raise ValidationError(f"unknown coupling {coupling!r}")
-    total = (m ** cells) * rand_count
+    total = (m ** (n * width)) * len(rands)
     if total > budget:
         raise BudgetExceededError(f"{total} joint assignments exceed budget {budget}")
 
-    induced: dict = {}
-    reference: dict = {}
-    for combo, p_sample in product_enumerate(dist, cells, budget):
-        rows = [combo[i * (cells // n):(i + 1) * (cells // n)] for i in range(n)]
-        if coupling == "sign":
-            key_ref = tuple(rows)
-            reference[key_ref] = reference.get(key_ref, 0.0) + p_sample
-            for bits in itertools.product((0, 1), repeat=n):
-                key = tuple(
-                    rows[i] if bits[i] == 0 else (rows[i][1], rows[i][0])
-                    for i in range(n)
-                )
-                induced[key] = induced.get(key, 0.0) + p_sample / rand_count
-        else:
-            for choice in itertools.product(range(l), repeat=n):
-                key = tuple(rows[i][choice[i]] for i in range(n))
-                induced[key] = induced.get(key, 0.0) + p_sample / rand_count
-    if coupling == "selector":
-        for combo, p in product_enumerate(dist, n, budget):
-            reference[combo] = reference.get(combo, 0.0) + p
-
-    tv = 0.5 * sum(
-        abs(induced.get(key, 0.0) - reference.get(key, 0.0))
-        for key in set(induced) | set(reference)
-    )
-    return tv <= tol
+    probs = dist.probs_array()
+    cells = all_choice_vectors(n * width, m)  # every sample matrix, in code order
+    p_sample = probs[cells].prod(axis=1)
+    cells = cells.reshape(-1, n, width)
+    induced = sum(_law_of(couple(cells, r), p_sample, m) for r in rands) / len(rands)
+    if coupling == "sign":
+        reference = p_sample
+    else:
+        reference = probs[all_choice_vectors(n, m)].prod(axis=1)
+    return 0.5 * float(np.abs(induced - reference).sum()) <= tol
 
 
 def pattern_invariance_spread(kf: KernelFamily, s: np.ndarray,

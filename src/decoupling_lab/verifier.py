@@ -289,10 +289,10 @@ def verify_moment_comparison(coeffs, n: int, degree: int,
 def mazur_orlicz_exhaustive(k_max: int = 6) -> bool:
     """Coefficient equals the permutation indicator for every tuple, k <= k_max."""
     for k in range(1, k_max + 1):
-        for j in itertools.product(range(k), repeat=k):
-            expected = 1 if sorted(j) == list(range(k)) else 0
-            if mazur_orlicz_coefficient(j) != expected:
-                return False
+        j = all_choice_vectors(k, k)  # all k^k tuples
+        expected = np.all(np.sort(j, axis=1) == np.arange(k), axis=1)
+        if not np.array_equal(mazur_orlicz_coefficient(j), expected):
+            return False
     return True
 
 

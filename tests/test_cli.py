@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import decoupling_lab
 from decoupling_lab.cli import main, parse_config, run
 from decoupling_lab.errors import ValidationError
 from decoupling_lab.verifier import ALL_CHECKS
@@ -109,3 +114,11 @@ def test_cli_identities_subcommand(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**SMALL_CONFIG, "checks": ["identities"]}))
     assert main(["identities", "--config", str(cfg_path)]) == 0
+
+
+def test_cli_import_skips_scipy_stats():
+    src = str(Path(decoupling_lab.__file__).resolve().parents[1])
+    code = "import sys, decoupling_lab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

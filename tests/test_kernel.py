@@ -96,6 +96,18 @@ def test_mazur_orlicz_permutation_indicator(k):
 def test_mazur_orlicz_rejects_out_of_range():
     with pytest.raises(ValidationError):
         mazur_orlicz_coefficient((0, 2))
+    with pytest.raises(ValidationError):
+        mazur_orlicz_coefficient(np.array([[0, 1], [2, 0]]))
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_mazur_orlicz_batched_equals_scalar(k):
+    tuples = np.array(list(itertools.product(range(k), repeat=k)))
+    batched = mazur_orlicz_coefficient(tuples.reshape(-1, k, k))  # (..., k) input
+    assert batched.dtype.kind == "i"
+    np.testing.assert_array_equal(
+        batched.reshape(-1), [mazur_orlicz_coefficient(tuple(j)) for j in tuples])
+    assert isinstance(mazur_orlicz_coefficient(tuple(range(k))), int)
 
 
 def test_kernel_evaluate_broadcasts():

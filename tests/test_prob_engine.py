@@ -121,6 +121,17 @@ def test_clopper_pearson_edges():
     assert lo < 0.5 < hi
 
 
+def test_clopper_pearson_matches_beta_quantiles():
+    from scipy.stats import beta
+
+    alpha = 1.0 - 0.99
+    for trials in (100, 1000, 20000):
+        for hits in (1, 7, trials // 3, trials - 1):
+            lo, hi = clopper_pearson(hits, trials)
+            assert lo == float(beta.ppf(alpha / 2, hits, trials - hits + 1))
+            assert hi == float(beta.ppf(1 - alpha / 2, hits + 1, trials - hits))
+
+
 def test_mc_tail_zero_kernel():
     spec = StatisticSpec(constant_kernel(2, 3, c=0.0), "coupled")
     ests = mc_tail(spec, rademacher(), [0.5], trials=200, seed=0)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from decoupling_lab import randomization as rz
 from decoupling_lab.errors import ValidationError
 from decoupling_lab.kernel import (constant_kernel, product_kernel,
                                    random_coefficient_kernel)
@@ -140,3 +141,30 @@ def test_distributional_equality_selector():
 def test_distributional_equality_sign():
     assert distributional_equality_check(rademacher(), 3, "sign")
     assert distributional_equality_check(uniform(3), 2, "sign")
+
+
+def test_sign_and_selector_couple_batched():
+    rng = np.random.default_rng(8)
+    s = rng.normal(size=(5, 3, 2))
+    batched = sign_couple(s, [1, -1, -1])
+    for b in range(5):
+        np.testing.assert_array_equal(batched[b], sign_couple(s[b], [1, -1, -1]))
+    np.testing.assert_array_equal(selector_couple(s, [1, 0, 1]),
+                                  [selector_couple(x, [1, 0, 1]) for x in s])
+
+
+def test_distributional_equality_detects_wrong_coupling(monkeypatch):
+    # Swapping any fixed set of rows keeps the law, so swapping only row 0 passes.
+    original = rz.sign_couple
+    monkeypatch.setattr(rz, "sign_couple", lambda s, signs: original(
+        s, np.where(np.arange(signs.size) == 0, signs, 1)))
+    assert distributional_equality_check(uniform(3), 2, "sign")
+    # A "swap" that copies the first column over the second changes the law.
+    monkeypatch.setattr(rz, "sign_couple", lambda s, signs: np.where(
+        signs[:, None] > 0, s, s[..., [0, 0]]))
+    assert not distributional_equality_check(uniform(3), 2, "sign")
+    assert not distributional_equality_check(rademacher(), 3, "sign")
+    # A selector biased by the data (towards the larger entry) changes the law.
+    monkeypatch.setattr(rz, "selector_couple", lambda s, choices: s.max(axis=-1))
+    assert not distributional_equality_check(rademacher(), 2, "selector", 2)
+    assert not distributional_equality_check(uniform(3), 2, "selector", 3)
