@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .value_space import (DiscreteDistribution, make_distribution, norm,
-                          product_enumerate, rademacher, uniform)
+                          rademacher, uniform)
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient, symmetrize)
 from .ustat_engine import (mixed_sum, not_all_equal_sum, pattern_sum,
@@ -15,8 +15,8 @@ from .verifier import (ConstantSearchResult, CorpusConfig, InequalityReport,
                        verify_moment_comparison, verify_prop1)
 
 __all__ = [
-    "DiscreteDistribution", "make_distribution", "norm", "product_enumerate",
-    "rademacher", "uniform", "KernelFamily", "check_symmetry", "distinct_tuples",
+    "DiscreteDistribution", "make_distribution", "norm", "rademacher", "uniform",
+    "KernelFamily", "check_symmetry", "distinct_tuples",
     "mazur_orlicz_coefficient", "symmetrize", "mixed_sum", "not_all_equal_sum",
     "pattern_sum", "symmetrized_decoupled_sum", "DiscreteLaw", "StatisticSpec",
     "exact_law", "kappa", "mc_tail", "moment", "tail", "ConstantSearchResult",

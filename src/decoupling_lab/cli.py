@@ -1,8 +1,9 @@
 """Batch driver: config ingestion, campaign execution, machine-readable reports.
 
 Config and report are JSON.  The report carries the echoed config, per-check
-results, a summary, and meta information; a flat CSV export (one row per check
-per threshold) is written next to the JSON report for plotting.
+results, a summary, and meta information (including each check's wall seconds
+and exact laws computed, under `meta.checks`); a flat CSV export (one row per
+check per threshold) is written next to the JSON report for plotting.
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error,
 3 budget/resource error.
@@ -138,6 +139,7 @@ def run(cfg: CorpusConfig, out_path: str | None = None) -> tuple[dict, int]:
             "library_version": __version__,
             "format_version": FORMAT_VERSION,
             "wall_clock_seconds": elapsed,
+            "checks": body["checks"],
         },
         "table": body["table"],
     }

@@ -3,7 +3,9 @@
 A kernel family assigns to each tuple of distinct row indices a function of k
 sample values.  Evaluation is vectorized: each argument may be a float or a
 numpy array of trial values, and the result broadcasts accordingly (shape
-(..., dim) when dim > 1).  Index tuples are 0-based throughout.
+(..., dim) when dim > 1).  Index tuples are 0-based throughout.  On a finite
+law a kernel is a multilinear form in per-cell features (its cell tensor),
+which gives exact laws and an exact symmetry test.
 """
 
 from __future__ import annotations
@@ -89,25 +91,37 @@ def symmetrize(kf: KernelFamily) -> KernelFamily:
                         dim=kf.dim, label=f"sym({kf.label})")
 
 
+def _cell_tensor(kf: KernelFamily, atoms: np.ndarray):
+    """(tensor, feats, const) such that, for distinct idx and atom indices a_r,
+    f_idx(atoms[a_0], ...) == const + sum over f of tensor[idx_0*F + f_0, ...] *
+    feats[a_0, f_0] * ... * feats[a_{k-1}, f_{k-1}], with F features per atom:
+    the coefficient tensor with atom values (F=1) when the kernel carries one,
+    else one `evaluate` call per distinct tuple on one-hot atom features (F=m).
+    """
+    if kf.coeffs is not None:
+        return kf.coeffs, atoms[:, None], kf.const
+    n, k, m = kf.n, kf.k, atoms.size
+    dims = (kf.dim,) if kf.dim > 1 else ()
+    if (n * m) ** k * kf.dim > MAX_TUPLE_COUNT:
+        raise BudgetExceededError(
+            f"cell tensor of {(n * m) ** k * kf.dim} entries exceeds {MAX_TUPLE_COUNT}")
+    tensor = np.zeros((n, m) * k + dims)
+    args = np.ix_(*[atoms] * k)  # every atom tuple, as broadcasting arguments
+    for idx in distinct_tuples(n, k):
+        tensor[tuple(x for i in idx for x in (i, slice(None)))] = kf.evaluate(idx, args)
+    return tensor.reshape((n * m,) * k + dims), np.eye(m), 0.0
+
+
 def check_symmetry(kf: KernelFamily, dist: DiscreteDistribution,
-                   trials: int = 200, seed: int = 0, tol: float = 1e-12) -> bool:
-    """Random probe of the joint index/argument permutation invariance."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    values = dist.values_array()
-    for _ in range(trials):
-        idx = tuple(int(i) for i in rng.permutation(kf.n)[: kf.k])
-        args = tuple(float(values[j]) for j in rng.integers(0, dist.size, size=kf.k))
-        pi = tuple(int(p) for p in rng.permutation(kf.k))
-        base = np.asarray(kf.evaluate(idx, args), dtype=float)
-        permuted = np.asarray(
-            kf.evaluate(tuple(idx[p] for p in pi), tuple(args[p] for p in pi)),
-            dtype=float,
-        )
-        if np.max(np.abs(base - permuted)) > tol:
-            return False
-    return True
+                   tol: float = 1e-12) -> bool:
+    """Exact test of the joint index/argument permutation invariance on the atoms
+    of `dist`: the cell tensor is invariant, within `tol`, under each of the k!
+    permutations of its slots (each slot is one index with its argument).
+    """
+    tensor = _cell_tensor(kf, dist.values_array())[0]
+    dims = tuple(range(kf.k, tensor.ndim))
+    return all(np.max(np.abs(tensor - tensor.transpose(pi + dims))) <= tol
+               for pi in itertools.permutations(range(kf.k)))
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .kernel import MAX_TUPLE_COUNT, KernelFamily, distinct_tuples
+from .kernel import KernelFamily, _cell_tensor
 from .ustat_engine import _contract, statistic
 from .value_space import DEFAULT_ENUM_BUDGET, DUAL_NORM, DiscreteDistribution, batch_norm
 
@@ -42,6 +42,12 @@ class DiscreteLaw:
             raise ValidationError("probabilities must be positive and sum to 1")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
+
+    @functools.cached_property
+    def suffix_sums(self) -> np.ndarray:
+        """probs[i:].sum() for i = 0..size; entry searchsorted(values, t) equals
+        tail(self, t) bit for bit, summing the same values in the same order."""
+        return np.array([self.probs[i:].sum() for i in range(self.probs.size + 1)])
 
 
 def aggregate_law(values, probs) -> DiscreteLaw:
@@ -127,27 +133,6 @@ def evaluate_norms(spec: StatisticSpec, samples: np.ndarray) -> np.ndarray:
         raise ValidationError("not enough copies for this statistic")
     total = statistic(kf, samples, spec.mode, spec.pattern, spec.l)
     return batch_norm(total, spec.norm_kind, kf.dim)
-
-
-def _cell_tensor(kf: KernelFamily, atoms: np.ndarray):
-    """(tensor, feats, const) such that, for distinct idx and atom indices a_r,
-    f_idx(atoms[a_0], ...) == const + sum over f of tensor[idx_0*F + f_0, ...] *
-    feats[a_0, f_0] * ... * feats[a_{k-1}, f_{k-1}], with F features per atom:
-    the coefficient tensor with atom values (F=1) when the kernel carries one,
-    else one `evaluate` call per distinct tuple on one-hot atom features (F=m).
-    """
-    if kf.coeffs is not None:
-        return kf.coeffs, atoms[:, None], kf.const
-    n, k, m = kf.n, kf.k, atoms.size
-    dims = (kf.dim,) if kf.dim > 1 else ()
-    if (n * m) ** k * kf.dim > MAX_TUPLE_COUNT:
-        raise BudgetExceededError(
-            f"cell tensor of {(n * m) ** k * kf.dim} entries exceeds {MAX_TUPLE_COUNT}")
-    tensor = np.zeros((n, m) * k + dims)
-    args = np.ix_(*[atoms] * k)  # every atom tuple, as broadcasting arguments
-    for idx in distinct_tuples(n, k):
-        tensor[tuple(x for i in idx for x in (i, slice(None)))] = kf.evaluate(idx, args)
-    return tensor.reshape((n * m,) * k + dims), np.eye(m), 0.0
 
 
 def _count_vectors(probs: np.ndarray, l: int):

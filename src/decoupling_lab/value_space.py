@@ -7,13 +7,11 @@ pairs, which is what makes exact enumeration of every downstream law possible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import ValidationError
 
 PROB_TOL = 1e-12
 DEFAULT_ENUM_BUDGET = 2 ** 24
@@ -116,20 +114,3 @@ def uniform(m: int) -> DiscreteDistribution:
     vals = tuple(float(i) - shift for i in range(m))
     return DiscreteDistribution(vals, (1.0 / m,) * m)
 
-
-def product_enumerate(
-    dist: DiscreteDistribution, count: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[tuple[tuple, float]]:
-    """All assignments of `count` independent draws with product probabilities."""
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    total = dist.size ** count
-    if total > budget:
-        raise BudgetExceededError(
-            f"{dist.size}^{count} = {total} assignments exceeds budget {budget}"
-        )
-    for combo in itertools.product(range(dist.size), repeat=count):
-        p = 1.0
-        for i in combo:
-            p *= dist.probs[i]
-        yield tuple(dist.atoms[i] for i in combo), p

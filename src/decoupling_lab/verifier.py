@@ -4,13 +4,17 @@ search for the smallest feasible decoupling constants.
 Each check is phrased against exact laws computed by enumeration, so a failure
 is an implementation bug, never sampling noise.  Constant searches exploit the
 fact that feasibility of C (all-t tail domination with factor C and threshold
-t/C) is monotone in C.
+t/C) is monotone in C; each tail is a lookup in the law's suffix sums.  A
+campaign computes each exact law once per instance and reuses it in every
+check that compares it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +69,11 @@ class ConstantSearchResult:
 # tail-domination feasibility and bisection
 # ---------------------------------------------------------------------------
 
-def _tail_tol(law: DiscreteLaw, u: float) -> float:
-    # small relative slack so C * support points survive the division by C
-    eps = 1e-9 * max(1.0, abs(u))
-    return float(law.probs[law.values >= u - eps].sum())
+def _tail_tol(law: DiscreteLaw, u):
+    # P(value >= u) by suffix-sum lookup, with a small relative slack so that
+    # C * support points survive the division by C; u may be an array
+    u = u - 1e-9 * np.maximum(1.0, np.abs(u))
+    return law.suffix_sums[np.searchsorted(law.values, u)]
 
 
 def _candidate_ts(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float) -> np.ndarray:
@@ -82,8 +87,8 @@ def _candidate_ts(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float) -> np.ndarra
 
 def _max_slack(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float):
     ts = _candidate_ts(law_l, law_r, c)
-    slack = np.array([tail(law_l, t) - c * _tail_tol(law_r, t / c) for t in ts])
-    return ts, slack
+    lhs = law_l.suffix_sums[np.searchsorted(law_l.values, ts)]  # tail(law_l, t)
+    return ts, lhs - c * _tail_tol(law_r, ts / c)
 
 
 def tails_dominated(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float,
@@ -110,13 +115,33 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw, direction: str,
             else:
                 lo = mid
         c_min, feasible = hi, True
-    if feasible:
-        ts, slack = _max_slack(law_l, law_r, c_min)
-    else:
-        ts, slack = np.array([]), np.array([])
+    ts, slack = _max_slack(law_l, law_r, c_min) if feasible else ((), ())
     return ConstantSearchResult(direction, c_min, feasible, tuple(bracket),
                                 tuple(float(t) for t in ts),
                                 tuple(float(s) for s in slack))
+
+
+def _search(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
+            l: int | None, norm_kind: str, law_of, symmetric,
+            bracket=BRACKET, rel_tol: float = BISECT_REL_TOL) -> ConstantSearchResult:
+    """search_constant with exact laws from law_of(spec, dist) and the symmetry
+    verdict from symmetric(kf, dist)."""
+    k = kf.k
+    left = StatisticSpec(kf, "coupled", norm_kind=norm_kind)
+    right = StatisticSpec(kf, "pattern", pattern=tuple(range(k)), norm_kind=norm_kind)
+    if direction == "lemma3":
+        if l is None or not (1 <= l <= k):
+            raise ValidationError("lemma3 direction needs 1 <= l <= k")
+        left, right = StatisticSpec(kf, "mixed", l=l, norm_kind=norm_kind), left
+    elif direction == "lower":
+        left, right = right, left
+    elif direction != "upper":
+        raise ValidationError(f"unknown direction {direction!r}")
+    if direction != "upper" and not symmetric(kf, dist):
+        raise SymmetryError(
+            f"{direction}-direction search requires a symmetric kernel, got {kf.label}")
+    return minimal_constant(law_of(left, dist), law_of(right, dist), direction,
+                            bracket, rel_tol)
 
 
 def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
@@ -129,32 +154,12 @@ def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str
     upper:  coupled tail dominated by the fully decoupled tail.
     lower:  fully decoupled tail dominated by the coupled tail
             (requires the joint symmetry condition).
-    lemma3: l-copy mixed tail dominated by the coupled tail.
+    lemma3: l-copy mixed tail dominated by the coupled tail
+            (requires the joint symmetry condition).
     """
-    k = kf.k
-    coupled = StatisticSpec(kf, "coupled", norm_kind=norm_kind)
-    decoupled = StatisticSpec(kf, "pattern", pattern=tuple(range(k)),
-                              norm_kind=norm_kind)
-    if direction == "upper":
-        law_l = exact_law(coupled, dist, budget)
-        law_r = exact_law(decoupled, dist, budget)
-    elif direction == "lower":
-        if not check_symmetry(kf, dist):
-            raise SymmetryError(
-                f"lower-direction search requires a symmetric kernel, got {kf.label}")
-        law_l = exact_law(decoupled, dist, budget)
-        law_r = exact_law(coupled, dist, budget)
-    elif direction == "lemma3":
-        if l is None or not (1 <= l <= k):
-            raise ValidationError("lemma3 direction needs 1 <= l <= k")
-        if not check_symmetry(kf, dist):
-            raise SymmetryError("lemma3 check requires a symmetric kernel")
-        mixed = StatisticSpec(kf, "mixed", l=l, norm_kind=norm_kind)
-        law_l = exact_law(mixed, dist, budget)
-        law_r = exact_law(coupled, dist, budget)
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
-    return minimal_constant(law_l, law_r, direction, bracket, rel_tol)
+    return _search(kf, dist, direction, l, norm_kind,
+                   lambda spec, d: exact_law(spec, d, budget), check_symmetry,
+                   bracket, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +186,7 @@ def verify_lemma1(dist: DiscreteDistribution, norm_kind: str = "euclidean",
         if t <= 0:
             continue
         lhs = tail(law_x, t)
-        rhs = 3.0 * _tail_tol(law_sum, 2.0 * t / 3.0)
+        rhs = 3.0 * float(_tail_tol(law_sum, 2.0 * t / 3.0))
         rows.append(CheckRow(float(t), lhs, rhs, lhs <= rhs + slack))
     return InequalityReport("lemma1", f"law({len(dist.atoms)} atoms)", tuple(rows))
 
@@ -442,7 +447,8 @@ def _instances(cfg: CorpusConfig):
 
 
 def run_corpus(cfg: CorpusConfig) -> dict:
-    """Execute the configured checks over the corpus; returns a JSON-ready dict."""
+    """Execute the configured checks over the corpus; returns a JSON-ready dict,
+    with each check's wall seconds and exact laws computed under `checks`."""
     from . import prob_engine as pe
     from . import randomization as rz
     from . import ustat_engine as ue
@@ -452,11 +458,23 @@ def run_corpus(cfg: CorpusConfig) -> dict:
     table = []
     constants: dict = {}
     lemma2_min: dict = {}
+    instances = list(_instances(cfg))  # built once, shared by every check
+    # each exact law once per (instance, statistic), each symmetry test once
+    law_of = functools.cache(lambda spec, dist: exact_law(spec, dist, cfg.enum_budget))
+    symmetric = functools.cache(check_symmetry)
+    checks: dict = {}
+    since = [time.perf_counter(), 0]  # clock and exact-law count at the last result
 
     def record(check, instance, passed, detail, n=None, k=None, l=None):
         results.append({"check": check, "instance_id": instance,
                         "n": n, "k": k, "l": l, "passed": bool(passed),
                         "detail": detail})
+        # the work since the previous result counts toward this one's check
+        now, laws = time.perf_counter(), law_of.cache_info().currsize
+        spent = checks.setdefault(check, {"wall_s": 0.0, "exact_laws": 0})
+        spent["wall_s"] += now - since[0]
+        spent["exact_laws"] += laws - since[1]
+        since[:] = now, laws
 
     def record_rows(check, instance, rows, n=None, k=None, l=None, constant=None):
         for r in rows:
@@ -465,7 +483,7 @@ def run_corpus(cfg: CorpusConfig) -> dict:
                           "constant": constant, "holds": bool(r.holds)})
 
     if "identities" in cfg.checks:
-        for dist_name, dist, kf in _instances(cfg):
+        for dist_name, dist, kf in instances:
             n, k = kf.n, kf.k
             if n > 6:
                 continue
@@ -496,7 +514,7 @@ def run_corpus(cfg: CorpusConfig) -> dict:
     if "mazur_orlicz" in cfg.checks:
         ok = mazur_orlicz_exhaustive(6)
         record("mazur_orlicz", "coefficient:k<=6", ok, {})
-        for dist_name, dist, kf in _instances(cfg):
+        for dist_name, dist, kf in instances:
             if not kf.symmetric_claimed or kf.k > 4:
                 continue
             s = draw_sample_matrix(rng, dist, kf.n, kf.k)
@@ -571,14 +589,13 @@ def run_corpus(cfg: CorpusConfig) -> dict:
                              ("lower", "theorem1_lower")):
         if check not in cfg.checks:
             continue
-        for dist_name, dist, kf in _instances(cfg):
+        for dist_name, dist, kf in instances:
             n, k = kf.n, kf.k
             if direction == "lower" and not kf.symmetric_claimed:
                 continue
             if dist.size ** (n * k) > cfg.enum_budget:
                 continue
-            res = search_constant(kf, dist, direction, norm_kind=cfg.norm_kind,
-                                  budget=cfg.enum_budget)
+            res = _search(kf, dist, direction, None, cfg.norm_kind, law_of, symmetric)
             inst = f"{dist_name}:{kf.label}:n{n}k{k}"
             record(check, inst, res.feasible,
                    {"c_min": res.c_min, "max_slack": max(res.slack, default=0.0)},
@@ -588,16 +605,15 @@ def run_corpus(cfg: CorpusConfig) -> dict:
                 constants[key] = max(constants.get(key, 1.0), res.c_min)
 
     if "lemma3" in cfg.checks:
-        for dist_name, dist, kf in _instances(cfg):
+        for dist_name, dist, kf in instances:
             n, k = kf.n, kf.k
             if not kf.symmetric_claimed:
                 continue
             for l in range(1, k + 1):
                 if dist.size ** (n * max(l, 1)) > cfg.enum_budget:
                     continue
-                res = search_constant(kf, dist, "lemma3", l=l,
-                                      norm_kind=cfg.norm_kind,
-                                      budget=cfg.enum_budget)
+                res = _search(kf, dist, "lemma3", l, cfg.norm_kind, law_of,
+                              symmetric)
                 inst = f"{dist_name}:{kf.label}:n{n}k{k}l{l}"
                 record("lemma3", inst, res.feasible, {"c_min": res.c_min},
                        n=n, k=k, l=l)
@@ -608,12 +624,12 @@ def run_corpus(cfg: CorpusConfig) -> dict:
     if "mc_consistency" in cfg.checks:
         covered = 0
         total = 0
-        for i, (dist_name, dist, kf) in enumerate(_instances(cfg)):
+        for i, (dist_name, dist, kf) in enumerate(instances):
             if i % 3 != 0 or dist.size ** (kf.n * kf.k) > cfg.enum_budget:
                 continue
             spec = pe.StatisticSpec(kf, "pattern", pattern=tuple(range(kf.k)),
                                     norm_kind=cfg.norm_kind)
-            law = pe.exact_law(spec, dist, cfg.enum_budget)
+            law = law_of(spec, dist)
             grid = pe.support_grid(law)
             ests = pe.mc_tail(spec, dist, grid, cfg.mc_trials,
                               seed=cfg.seed + i)
@@ -636,4 +652,5 @@ def run_corpus(cfg: CorpusConfig) -> dict:
         "lemma2_min_probability": {f"k={k}": p
                                    for k, p in sorted(lemma2_min.items())},
     }
-    return {"results": results, "summary": summary, "table": table}
+    return {"results": results, "summary": summary, "table": table,
+            "checks": checks}

@@ -70,6 +70,19 @@ def test_run_deterministic(tmp_path):
     assert numeric(rep_a) == numeric(rep_b)
 
 
+def test_meta_records_per_check_timing():
+    cfg, _ = parse_config(json.dumps(SMALL_CONFIG))
+    report, _ = run(cfg)
+    checks = report["meta"]["checks"]
+    assert set(checks) == set(cfg.checks)
+    for entry in checks.values():
+        assert set(entry) == {"wall_s", "exact_laws"}
+        assert entry["wall_s"] >= 0.0
+    # coupled and decoupled law of the product and coeff instances
+    assert checks["theorem1_upper"]["exact_laws"] == 4
+    assert checks["identities"]["exact_laws"] == 0
+
+
 def test_broken_tolerance_forces_failure():
     broken = dict(SMALL_CONFIG)
     broken["tolerances"] = {"identity": -1.0}

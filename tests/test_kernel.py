@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from decoupling_lab.errors import ValidationError
-from decoupling_lab.kernel import (check_symmetry, count_distinct_tuples,
+from decoupling_lab.kernel import (KernelFamily, check_symmetry,
+                                   count_distinct_tuples,
                                    distinct_tuples, first_argument_kernel,
                                    mazur_orlicz_coefficient, product_kernel,
                                    random_coefficient_kernel, symmetrize)
@@ -63,11 +65,26 @@ def test_symmetrize_idempotent_up_to_factorial():
 def test_check_symmetry():
     d = rademacher()
     assert check_symmetry(product_kernel(2, 4), d)
-    assert not check_symmetry(first_argument_kernel(2, 4), d, trials=500, seed=1)
+    assert not check_symmetry(first_argument_kernel(2, 4), d)
     assert check_symmetry(symmetrize(first_argument_kernel(2, 4)), d)
     assert check_symmetry(random_coefficient_kernel(2, 4, seed=2, symmetric=True), d)
-    assert not check_symmetry(random_coefficient_kernel(2, 4, seed=2), d,
-                              trials=500, seed=3)
+    assert not check_symmetry(random_coefficient_kernel(2, 4, seed=2), d)
+
+
+def test_check_symmetry_rejects_one_asymmetric_tuple():
+    # a symmetric coefficient kernel made asymmetric at one index tuple of 720
+    base = random_coefficient_kernel(3, 10, seed=0, symmetric=True)
+    coeffs = base.coeffs.copy()
+    coeffs[7, 8, 9] += 1.0
+
+    def ev(idx, args):
+        return coeffs[idx] * args[0] * args[1] * args[2]
+
+    for tensor in (coeffs, None):  # coefficient tensor, then tabulated one-hot
+        kf = KernelFamily(3, 10, ev, symmetric_claimed=True, coeffs=tensor)
+        assert not check_symmetry(kf, rademacher())
+    assert check_symmetry(base, rademacher())
+    assert check_symmetry(dataclasses.replace(base, coeffs=None), rademacher())
 
 
 def test_mazur_orlicz_examples():

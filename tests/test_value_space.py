@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from decoupling_lab.errors import BudgetExceededError, ValidationError
+from decoupling_lab.errors import ValidationError
 from decoupling_lab.value_space import (DiscreteDistribution, make_distribution,
-                                        norm, product_enumerate, rademacher,
-                                        uniform)
+                                        norm, rademacher, uniform)
 
 
 def test_norm_examples():
@@ -61,27 +58,3 @@ def test_make_distribution_validation():
     with pytest.raises(ValidationError):
         DiscreteDistribution((), ())
 
-
-def test_product_enumerate_counts_and_mass():
-    d = rademacher()
-    combos = list(product_enumerate(d, 2))
-    assert len(combos) == 4
-    assert all(p == pytest.approx(0.25) for _, p in combos)
-
-    combos = list(product_enumerate(uniform(3), 1))
-    assert len(combos) == 3
-
-    combos = list(product_enumerate(d, 8))
-    assert len(combos) == 256
-    assert math.fsum(p for _, p in combos) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_product_enumerate_budget():
-    with pytest.raises(BudgetExceededError):
-        list(product_enumerate(uniform(3), 20, budget=1000))
-
-
-@pytest.mark.parametrize("m,count", [(2, 3), (3, 4), (4, 2)])
-def test_product_enumerate_mass_sums_to_one(m, count):
-    total = math.fsum(p for _, p in product_enumerate(uniform(m), count))
-    assert abs(total - 1.0) <= 1e-12

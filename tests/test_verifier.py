@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from decoupling_lab import verifier
 from decoupling_lab.errors import SymmetryError
-from decoupling_lab.kernel import (constant_kernel, first_argument_kernel,
-                                   product_kernel, random_coefficient_kernel)
-from decoupling_lab.prob_engine import DiscreteLaw, StatisticSpec, exact_law
+from decoupling_lab.kernel import (check_symmetry, constant_kernel,
+                                   first_argument_kernel, product_kernel,
+                                   random_coefficient_kernel)
+from decoupling_lab.prob_engine import (DiscreteLaw, StatisticSpec, aggregate_law,
+                                        exact_law, tail)
 from decoupling_lab.value_space import DiscreteDistribution, rademacher, uniform
 from decoupling_lab.verifier import (CorpusConfig, mazur_orlicz_exhaustive,
-                                     minimal_constant, run_corpus,
+                                     minimal_constant, random_law, run_corpus,
                                      search_constant,
                                      symmetrized_expansion_residual,
                                      tails_dominated, verify_lemma1,
@@ -115,6 +118,11 @@ def test_search_constant_lower_rejects_asymmetric():
         search_constant(first_argument_kernel(2, 3), rademacher(), "lower")
 
 
+def test_search_constant_lemma3_rejects_asymmetric():
+    with pytest.raises(SymmetryError, match="lemma3"):
+        search_constant(first_argument_kernel(2, 3), rademacher(), "lemma3", l=1)
+
+
 def test_monotone_feasibility():
     kf = random_coefficient_kernel(2, 3, seed=4, symmetric=True)
     d = uniform(3)
@@ -173,3 +181,77 @@ def test_run_corpus_small():
     rep = run_corpus(cfg)
     assert rep["summary"]["failed"] == 0
     assert rep["summary"]["total"] > 0
+
+
+def _reference_max_slack(law_l, law_r, c):
+    # the original per-threshold loop: two masked tail sums per threshold
+    def tail_tol(law, u):
+        eps = 1e-9 * max(1.0, abs(u))
+        return float(law.probs[law.values >= u - eps].sum())
+
+    ts = verifier._candidate_ts(law_l, law_r, c)
+    slack = np.array([tail(law_l, t) - c * tail_tol(law_r, t / c) for t in ts])
+    return ts, slack
+
+
+def _law_pairs():
+    rng = np.random.default_rng(7)
+    for dist in (rademacher(), uniform(3), random_law(rng), random_law(rng)):
+        for kf in (product_kernel(2, 3), random_coefficient_kernel(3, 3, seed=1)):
+            pattern = tuple(range(kf.k))
+            coupled = exact_law(StatisticSpec(kf, "coupled"), dist)
+            decoupled = exact_law(StatisticSpec(kf, "pattern", pattern=pattern), dist)
+            yield coupled, decoupled
+            yield decoupled, coupled
+    for _ in range(4):  # laws of |X| for random finite laws X
+        law_l, law_r = (random_law(rng) for _ in range(2))
+        yield (aggregate_law(np.abs(law_l.values_array()), law_l.probs_array()),
+               aggregate_law(np.abs(law_r.values_array()), law_r.probs_array()))
+
+
+@pytest.mark.parametrize("pair", list(_law_pairs()))
+def test_tail_lookup_bit_identical_to_masked_sums(pair, monkeypatch):
+    law_l, law_r = pair
+    # c from 1 to the bracket, and ratios of support points, where t / c lands
+    # on a support point of the right law, or just above it within the slack
+    ratios = np.unique(np.divide.outer(law_l.values, law_r.values[law_r.values > 0]))
+    ratios = ratios[(ratios >= 1.0) & (ratios <= verifier.BRACKET[1])]
+    ratios = ratios[np.linspace(0, ratios.size - 1, min(ratios.size, 40)).astype(int)]
+    cs = np.concatenate([np.geomspace(1.0, verifier.BRACKET[1], 21), ratios,
+                         np.maximum(1.0, ratios * (1 - 7.5e-10))])
+    for c in cs.tolist():
+        ts, slack = verifier._max_slack(law_l, law_r, c)
+        ref_ts, ref_slack = _reference_max_slack(law_l, law_r, c)
+        assert np.array_equal(ts, ref_ts) and np.array_equal(slack, ref_slack), c
+    results = [repr(minimal_constant(law_l, law_r, "upper"))]
+    monkeypatch.setattr(verifier, "_max_slack", _reference_max_slack)
+    results.append(repr(minimal_constant(law_l, law_r, "upper")))
+    assert results[0] == results[1]
+
+
+def test_run_corpus_computes_each_law_once(monkeypatch):
+    law_keys, symmetry_keys = [], []
+
+    def counted_law(spec, dist, budget):
+        kf = spec.kernel
+        law_keys.append((dist, kf.label, kf.n, kf.k, spec.mode, spec.pattern, spec.l))
+        return exact_law(spec, dist, budget)
+
+    def counted_symmetry(kf, dist):
+        symmetry_keys.append((dist, kf.label, kf.n, kf.k))
+        return check_symmetry(kf, dist)
+
+    monkeypatch.setattr(verifier, "exact_law", counted_law)
+    monkeypatch.setattr(verifier, "check_symmetry", counted_symmetry)
+    cfg = CorpusConfig(distributions=("rademacher", "uniform3"),
+                       kernel_classes=("product", "sym-coeff", "coeff"),
+                       nk_pairs=((3, 2),), ls=(1, 2), mc_trials=500,
+                       checks=("theorem1_upper", "theorem1_lower", "lemma3",
+                               "mc_consistency"))
+    rep = run_corpus(cfg)
+    assert rep["summary"]["failed"] == 0
+    assert len(law_keys) == len(set(law_keys))
+    symmetric = {(dist, kf.label, kf.n, kf.k)
+                 for _, dist, kf in verifier._instances(cfg) if kf.symmetric_claimed}
+    assert sorted(symmetry_keys, key=repr) == sorted(symmetric, key=repr)
+    assert sum(c["exact_laws"] for c in rep["checks"].values()) == len(law_keys)
