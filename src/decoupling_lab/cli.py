@@ -6,7 +6,9 @@ and exact laws computed, under `meta.checks`); a flat CSV export (one row per
 check per threshold) is written next to the JSON report for plotting.
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error,
-3 budget/resource error.
+3 budget/resource error.  A requested check that records no result (listed
+under `summary.not_run`) exits 3 when the enumeration budget emptied it and 2
+otherwise, unless a check failed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import BudgetExceededError, ValidationError
 from .kernel import KernelFamily
 from .prob_engine import StatisticSpec, exact_law
 from .value_space import DEFAULT_ENUM_BUDGET
-from .verifier import (ALL_CHECKS, CorpusConfig, build_kernel,
+from .verifier import (ALL_CHECKS, NOT_RUN_BUDGET, CorpusConfig, build_kernel,
                        named_distribution, run_corpus)
 
 FORMAT_VERSION = 1
@@ -149,6 +151,11 @@ def run(cfg: CorpusConfig, out_path: str | None = None) -> tuple[dict, int]:
             fh.write("\n")
         _write_table_csv(os.path.splitext(out_path)[0] + ".csv", body["table"])
     code = 0 if body["summary"]["failed"] == 0 else 1
+    not_run = body["summary"].get("not_run", {})
+    for check, reason in not_run.items():
+        print(f"not run: {check}: {reason}", file=sys.stderr)
+    if not_run and code == 0:
+        code = 3 if NOT_RUN_BUDGET in not_run.values() else 2
     return report, code
 
 

@@ -68,12 +68,6 @@ def distinct_mask(n: int, k: int) -> np.ndarray:
     return mask
 
 
-def count_distinct_tuples(n: int, k: int) -> int:
-    if k > n:
-        return 0
-    return math.perm(n, k)
-
-
 def symmetrize(kf: KernelFamily) -> KernelFamily:
     """Sum of the kernel over all k! joint permutations of indices and arguments."""
     if kf.k > FACTORIAL_BUDGET:

@@ -34,25 +34,6 @@ def all_choice_vectors(n: int, l: int) -> np.ndarray:
     return (idx // (l ** np.arange(n)[None, :])) % l
 
 
-def selector_matrix(choices, l: int) -> np.ndarray:
-    """0/1 selector matrix with exactly one 1 per row, from column choices."""
-    choices = np.asarray(choices, dtype=np.int64)
-    if choices.ndim != 1 or np.any(choices < 0) or np.any(choices >= l):
-        raise ValidationError("choices must be a vector with entries in 0..l-1")
-    out = np.zeros((choices.size, l), dtype=np.int64)
-    out[np.arange(choices.size), choices] = 1
-    return out
-
-
-def choices_from_selector(sm: np.ndarray) -> np.ndarray:
-    sm = np.asarray(sm)
-    if sm.ndim != 2 or not np.all((sm == 0) | (sm == 1)):
-        raise ValidationError("selector matrix must be 0/1")
-    if not np.all(sm.sum(axis=1) == 1):
-        raise ValidationError("each selector row must sum to exactly 1")
-    return np.argmax(sm, axis=1)
-
-
 def sign_couple(s: np.ndarray, signs) -> np.ndarray:
     """Swap the two columns of row i when the i-th sign is -1; s is (..., n, 2)."""
     s = np.asarray(s)
@@ -108,12 +89,6 @@ def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def expansion_residual(kf: KernelFamily, s: np.ndarray, signs, pattern) -> float:
-    """Residual of the sign-product expansion for one sign vector."""
-    signs = np.asarray(signs, dtype=np.int64)
-    return float(expansion_residual_batch(kf, s, signs[None, :], pattern)[0])
-
-
 def sign_conditional_expectation(kf: KernelFamily, s: np.ndarray, pattern,
                                  budget: int = DEFAULT_RANDOMIZATION_BUDGET):
     """Exact average of the coupled pattern sum over all 2^n sign vectors.
@@ -156,8 +131,7 @@ def _law_of(atom_idx: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
 
 def distributional_equality_check(dist: DiscreteDistribution, n: int,
                                   coupling: str = "selector", l: int = 2,
-                                  budget: int = DEFAULT_RANDOMIZATION_BUDGET,
-                                  tol: float = 1e-12) -> bool:
+                                  budget: int = DEFAULT_RANDOMIZATION_BUDGET) -> bool:
     """Exact law comparison between the coupled sample and a fresh copy.
 
     For selector coupling the induced law of (Z_1,...,Z_n) is compared with
@@ -165,7 +139,7 @@ def distributional_equality_check(dist: DiscreteDistribution, n: int,
     two-column coupled matrix is compared with the product law of two copies.
     Every sample matrix of atom indices is coupled by `sign_couple` or
     `selector_couple` under every randomization vector.  Returns True iff the
-    total-variation distance is at most `tol`.
+    total-variation distance is at most 1e-12.
     """
     m = dist.size
     if coupling == "sign":
@@ -189,7 +163,7 @@ def distributional_equality_check(dist: DiscreteDistribution, n: int,
         reference = p_sample
     else:
         reference = probs[all_choice_vectors(n, m)].prod(axis=1)
-    return 0.5 * float(np.abs(induced - reference).sum()) <= tol
+    return 0.5 * float(np.abs(induced - reference).sum()) <= 1e-12
 
 
 def pattern_invariance_spread(kf: KernelFamily, s: np.ndarray,

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import decoupling_lab
+from decoupling_lab import verifier
 from decoupling_lab.cli import main, parse_config, run
 from decoupling_lab.errors import ValidationError
 from decoupling_lab.verifier import ALL_CHECKS
@@ -135,3 +137,56 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_check_emptied_by_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"corpus": {"nk_pairs": [[7, 2]]},
+                                    "checks": ["identities"]}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "0/0 checks passed" in captured.out
+    assert "not run: identities" in captured.err
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["not_run"] == {"identities": verifier.NOT_RUN_CONFIG}
+
+
+def test_cli_check_emptied_by_budget_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**SMALL_CONFIG, "checks": [
+        "lemma1", "theorem1-upper", "mc-consistency"]}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--budget", "16",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.count("not run:") == 2
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["failed"] == 0 and summary["total"] == 5
+    assert summary["not_run"] == {"theorem1_upper": verifier.NOT_RUN_BUDGET,
+                                  "mc_consistency": verifier.NOT_RUN_BUDGET}
+
+
+def test_cli_constants_csv_has_one_row_per_search(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**SMALL_CONFIG, "corpus": {
+        **SMALL_CONFIG["corpus"], "kernel_classes": ["product", "sym-coeff"]}}))
+    out = tmp_path / "c.json"
+    assert main(["constants", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "not_run" not in report["summary"]
+    with open(tmp_path / "c.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    results = report["results"]
+    assert {r["check"] for r in results} == {"theorem1_upper", "theorem1_lower",
+                                             "lemma3"}
+    assert len(rows) == len(results)
+    for row, res in zip(rows, results):
+        detail = res["detail"]
+        assert (row["check"], row["instance_id"]) == (res["check"], res["instance_id"])
+        assert float(row["constant"]) == detail["c_min"]
+        assert float(row["t"]) == detail["binding"]["v"]
+        assert float(row["lhs"]) <= float(row["rhs"]) + 1e-12
+        if res["check"] == "lemma3":
+            assert 1.0 <= detail["c_min_scaled"] <= detail["c_min"]
+    constants = report["summary"]["empirical_constants"]
+    assert constants["lemma3_scaled:k=2"] <= constants["lemma3:k=2"]

@@ -7,7 +7,6 @@ import pytest
 
 from decoupling_lab.errors import ValidationError
 from decoupling_lab.kernel import (KernelFamily, check_symmetry,
-                                   count_distinct_tuples,
                                    distinct_tuples, first_argument_kernel,
                                    mazur_orlicz_coefficient, product_kernel,
                                    random_coefficient_kernel, symmetrize)
@@ -26,7 +25,7 @@ def test_distinct_tuples_count_formula(n):
     for k in range(1, n + 1):
         count = len(list(distinct_tuples(n, k)))
         assert count == math.factorial(n) // math.factorial(n - k)
-        assert count == count_distinct_tuples(n, k)
+        assert count == math.perm(n, k)
 
 
 def test_symmetrize_product_kernel():

@@ -7,14 +7,12 @@ from decoupling_lab import randomization as rz
 from decoupling_lab.errors import ValidationError
 from decoupling_lab.kernel import (constant_kernel, product_kernel,
                                    random_coefficient_kernel)
-from decoupling_lab.randomization import (all_choice_vectors, all_sign_vectors,
-                                          choices_from_selector,
+from decoupling_lab.randomization import (all_sign_vectors,
                                           distributional_equality_check,
-                                          expansion_residual,
                                           expansion_residual_batch,
                                           pattern_invariance_spread,
                                           selector_conditional_expectation,
-                                          selector_couple, selector_matrix,
+                                          selector_couple,
                                           sign_conditional_expectation,
                                           sign_couple)
 from decoupling_lab.ustat_engine import mixed_sum, pattern_sum
@@ -49,7 +47,8 @@ def test_expansion_residual_all_plus_signs():
     kf = product_kernel(2, 3)
     rng = np.random.default_rng(1)
     s = rng.normal(size=(3, 2))
-    assert expansion_residual(kf, s, [1, 1, 1], (0, 1)) <= 1e-12
+    res = expansion_residual_batch(kf, s, np.array([[1, 1, 1]]), (0, 1))
+    assert res.shape == (1,) and res[0] <= 1e-12
 
 
 @pytest.mark.parametrize("pattern", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -93,21 +92,6 @@ def test_selector_couple():
     np.testing.assert_array_equal(selector_couple(s, [0, 0, 0]), s[:, 0])
     out = selector_couple(s[:2], [0, 1])
     assert out[0] == s[0, 0] and out[1] == s[1, 1]
-
-
-def test_selector_matrix_roundtrip():
-    sm = selector_matrix([2, 0, 1], 3)
-    assert sm.sum(axis=1).tolist() == [1, 1, 1]
-    np.testing.assert_array_equal(choices_from_selector(sm), [2, 0, 1])
-    with pytest.raises(ValidationError):
-        choices_from_selector(np.array([[1, 1], [0, 1]]))
-
-
-def test_centered_selector_rows_sum_to_zero():
-    for choices in all_choice_vectors(4, 3):
-        sm = selector_matrix(choices, 3)
-        centered = sm - 1.0 / 3.0
-        np.testing.assert_allclose(centered.sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_selector_conditional_expectation_l1():

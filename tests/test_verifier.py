@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,11 @@ def test_search_constant_zero_kernel():
 def test_search_constant_hand_derived_upper():
     res = search_constant(product_kernel(2, 2), rademacher(), "upper")
     assert res.feasible
-    assert res.c_min == pytest.approx(2.0, abs=1e-3)
+    assert res.c_min == 2.0
+    # coupled 2 x0 x1 has norm 2 surely; the decoupled sum has norm 2 with
+    # probability 1/2, so the threshold 2 needs max(2 / 2, 1 / (1/2))
+    assert res.binding == {"v": 2.0, "w": 2.0, "at_top": True}
+    assert res.row == verifier.CheckRow(2.0, 1.0, 1.0, True)
 
 
 def test_search_constant_lower_symmetric():
@@ -183,15 +189,23 @@ def test_run_corpus_small():
     assert rep["summary"]["total"] > 0
 
 
-def _reference_max_slack(law_l, law_r, c):
-    # the original per-threshold loop: two masked tail sums per threshold
+def _reference_slack(law_l, law_r, c):
+    # per-threshold masked tail sums on a dense grid: every positive support
+    # point of both laws and every c * w, the points just above and below
+    # each, the midpoints between them, and one point below them all
     def tail_tol(law, u):
         eps = 1e-9 * max(1.0, abs(u))
         return float(law.probs[law.values >= u - eps].sum())
 
-    ts = verifier._candidate_ts(law_l, law_r, c)
-    slack = np.array([tail(law_l, t) - c * tail_tol(law_r, t / c) for t in ts])
-    return ts, slack
+    pts = np.concatenate([law_l.values, law_r.values, c * law_r.values])
+    pts = np.unique(pts[pts > 0])
+    ts = np.unique(np.concatenate([pts, pts * (1 + 1e-6), pts * (1 - 1e-6),
+                                   (pts[1:] + pts[:-1]) / 2, pts[:1] / 2]))
+    return ts, np.array([tail(law_l, t) - c * tail_tol(law_r, t / c) for t in ts])
+
+
+def _reference_feasible(law_l, law_r, c):
+    return np.max(_reference_slack(law_l, law_r, c)[1]) <= 1e-12
 
 
 def _law_pairs():
@@ -210,23 +224,114 @@ def _law_pairs():
 
 
 @pytest.mark.parametrize("pair", list(_law_pairs()))
-def test_tail_lookup_bit_identical_to_masked_sums(pair, monkeypatch):
+def test_tail_lookup_bit_identical_to_masked_sums(pair):
     law_l, law_r = pair
-    # c from 1 to the bracket, and ratios of support points, where t / c lands
-    # on a support point of the right law, or just above it within the slack
+    # c on a geometric sweep, and at ratios of support points, where t / c lands
+    # on a right support point, or just above it within the tail slack
     ratios = np.unique(np.divide.outer(law_l.values, law_r.values[law_r.values > 0]))
-    ratios = ratios[(ratios >= 1.0) & (ratios <= verifier.BRACKET[1])]
-    ratios = ratios[np.linspace(0, ratios.size - 1, min(ratios.size, 40)).astype(int)]
-    cs = np.concatenate([np.geomspace(1.0, verifier.BRACKET[1], 21), ratios,
+    ratios = ratios[(ratios >= 1.0) & (ratios <= verifier.C_CEILING)]
+    ratios = ratios[np.linspace(0, ratios.size - 1, min(ratios.size, 20)).astype(int)]
+    cs = np.concatenate([np.geomspace(1.0, verifier.C_CEILING, 41), ratios,
                          np.maximum(1.0, ratios * (1 - 7.5e-10))])
     for c in cs.tolist():
+        # the suffix-sum slack at the positive left support points equals the
+        # masked sums there bit for bit, and no other threshold binds
         ts, slack = verifier._max_slack(law_l, law_r, c)
-        ref_ts, ref_slack = _reference_max_slack(law_l, law_r, c)
-        assert np.array_equal(ts, ref_ts) and np.array_equal(slack, ref_slack), c
-    results = [repr(minimal_constant(law_l, law_r, "upper"))]
-    monkeypatch.setattr(verifier, "_max_slack", _reference_max_slack)
-    results.append(repr(minimal_constant(law_l, law_r, "upper")))
-    assert results[0] == results[1]
+        ref_ts, ref_slack = _reference_slack(law_l, law_r, c)
+        at = np.searchsorted(ref_ts, ts)
+        assert np.array_equal(ref_ts[at], ts) and np.array_equal(ref_slack[at], slack), c
+        assert tails_dominated(law_l, law_r, c) == (np.max(ref_slack) <= 1e-12), c
+    # the closed-form constant is feasible and minimal under the reference
+    res = minimal_constant(law_l, law_r, "upper")
+    if not res.feasible:  # a right law with no positive point
+        assert not _reference_feasible(law_l, law_r, verifier.C_CEILING)
+        return
+    assert tails_dominated(law_l, law_r, res.c_min)
+    assert _reference_feasible(law_l, law_r, res.c_min)
+    if res.c_min > 1.0:
+        assert not _reference_feasible(law_l, law_r, res.c_min * (1 - 1e-7))
+
+
+def _law(points):
+    return DiscreteLaw(np.array(list(points), dtype=float),
+                       np.array(list(points.values()), dtype=float))
+
+
+def test_minimal_constant_edge_cases():
+    # a left law with no positive point needs no constant above 1
+    res = minimal_constant(_law({0.0: 1.0}), _law({0.0: 0.5, 1.0: 0.5}), "upper")
+    assert res.feasible and res.c_min == 1.0 and res.binding is None
+    assert res.row is None and res.slack == ()
+    # a right law with no positive point can dominate no positive left tail
+    res = minimal_constant(_law({0.0: 0.5, 1.0: 0.5}), _law({0.0: 1.0}), "upper")
+    assert not res.feasible and np.isnan(res.c_min) and res.binding is None
+    # the closed form gives 1e7 here, above the ceiling of 2^20
+    right = _law({0.0: 1 - 1e-7, 1.0: 1e-7})
+    assert tails_dominated(_law({1.0: 1.0}), right, 1e7)
+    res = minimal_constant(_law({1.0: 1.0}), right, "upper")
+    assert not res.feasible and np.isnan(res.c_min)
+    # a right law that dominates with room: c_min is the floor 1, bound by no pair
+    res = minimal_constant(_law({0.0: 0.5, 1.0: 0.5}), _law({2.0: 1.0}), "upper")
+    assert res.feasible and res.c_min == 1.0 and res.binding is None
+
+
+def test_minimal_constant_binding():
+    # left {1: 1/2, 4: 1/2}, right {1: 1/2, 2: 1/2}: the threshold 4 needs
+    # max(4 / 2, (1/2) / (1/2)) = 2 at the tops of both supports
+    res = minimal_constant(_law({1.0: 0.5, 4.0: 0.5}), _law({1.0: 0.5, 2.0: 0.5}),
+                           "upper")
+    assert res.c_min == 2.0
+    assert res.binding == {"v": 4.0, "w": 2.0, "at_top": True}
+    assert res.row == verifier.CheckRow(4.0, 0.5, 1.0, True)
+    # left {1: 1/2, 2: 1/2}, right {1: 3/4, 8: 1/4}: the threshold 1 needs
+    # 1 / rhs_tail(1) = 1, and the threshold 2 needs min(max(2, 1/2), max(1/4, 2)) = 2,
+    # reached at w = 1 and at w = 8; ties go to the larger w
+    res = minimal_constant(_law({1.0: 0.5, 2.0: 0.5}), _law({1.0: 0.75, 8.0: 0.25}),
+                           "upper")
+    assert res.c_min == 2.0
+    assert res.binding == {"v": 2.0, "w": 8.0, "at_top": True}
+    # left {2: 1}, right {1: 3/4, 4: 1/4}: the threshold 2 needs
+    # min(max(2 / 1, 1 / 1), max(2 / 4, 1 / (1/4))) = 2, below the top of the right
+    res = minimal_constant(_law({2.0: 1.0}), _law({1.0: 0.75, 4.0: 0.25}), "upper")
+    assert res.c_min == 2.0
+    assert res.binding == {"v": 2.0, "w": 1.0, "at_top": False}
+    # equal laws {1: 1/2, 2: 1/2}: both thresholds need exactly 1; ties go to
+    # the larger v
+    law = _law({1.0: 0.5, 2.0: 0.5})
+    res = minimal_constant(law, law, "upper")
+    assert res.c_min == 1.0
+    assert res.binding == {"v": 2.0, "w": 2.0, "at_top": True}
+    # left {1: 1/2, 2: 1/2}, right {1: 1/4, 4: 3/4}: the threshold 1 needs
+    # max(1 / 1, 1 / 1) = 1 and the threshold 2 only max(2 / 4, (1/2) / (3/4))
+    res = minimal_constant(_law({1.0: 0.5, 2.0: 0.5}), _law({1.0: 0.25, 4.0: 0.75}),
+                           "upper")
+    assert res.c_min == 1.0
+    assert res.binding == {"v": 1.0, "w": 1.0, "at_top": False}
+
+
+def test_minimal_constant_feasible_only_when_confirmed(monkeypatch):
+    monkeypatch.setattr(verifier, "tails_dominated", lambda *args: False)
+    res = minimal_constant(_law({1.0: 0.5, 4.0: 0.5}), _law({1.0: 0.5, 2.0: 0.5}),
+                           "upper")
+    assert not res.feasible and np.isnan(res.c_min) and res.binding is None
+
+
+def test_run_corpus_lemma3_scaled_constant():
+    # product kernel, k = 2, n = 3, Rademacher: with y_i the sum of row i's two
+    # copies, the l = 2 mixed sum is the sum of y_i y_j over i != j; divided by
+    # l^k = 4 it is the same sum over z_i = y_i / 2, which is -1, 0, 1 with
+    # probabilities 1/4, 1/2, 1/4
+    cfg = CorpusConfig(distributions=("rademacher",), kernel_classes=("product",),
+                       nk_pairs=((3, 2),), checks=("lemma3",))
+    rep = run_corpus(cfg)
+    detail = next(r["detail"] for r in rep["results"] if r["l"] == 2)
+    z = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+    probs = np.prod(np.where(z == 0, 0.5, 0.25), axis=1)
+    scaled = aggregate_law(np.abs(z.sum(axis=1) ** 2 - (z ** 2).sum(axis=1)), probs)
+    coupled = exact_law(StatisticSpec(product_kernel(2, 3), "coupled"), rademacher())
+    expected = minimal_constant(scaled, coupled, "lemma3")
+    assert detail["c_min_scaled"] == expected.c_min < detail["c_min"]
+    assert rep["summary"]["empirical_constants"]["lemma3_scaled:k=2"] >= expected.c_min
 
 
 def test_run_corpus_computes_each_law_once(monkeypatch):
