@@ -23,6 +23,7 @@ from .value_space import DiscreteDistribution
 
 FACTORIAL_BUDGET = 7  # largest k for which permutation loops are allowed
 MAX_TUPLE_COUNT = 2 ** 24  # ceiling on summed tuples and on coefficient-tensor entries
+SYMMETRY_TOL = 1e-12  # largest entry change a symmetric cell tensor may show
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,14 @@ def _cell_tensor(kf: KernelFamily, atoms: np.ndarray):
     return tensor.reshape((n * m,) * k + dims), np.eye(m), 0.0
 
 
-def check_symmetry(kf: KernelFamily, dist: DiscreteDistribution,
-                   tol: float = 1e-12) -> bool:
+def check_symmetry(kf: KernelFamily, dist: DiscreteDistribution) -> bool:
     """Exact test of the joint index/argument permutation invariance on the atoms
-    of `dist`: the cell tensor is invariant, within `tol`, under each of the k!
-    permutations of its slots (each slot is one index with its argument).
+    of `dist`: the cell tensor is invariant, within SYMMETRY_TOL, under each of
+    the k! permutations of its slots (each slot is one index with its argument).
     """
     tensor = _cell_tensor(kf, dist.values_array())[0]
     dims = tuple(range(kf.k, tensor.ndim))
-    return all(np.max(np.abs(tensor - tensor.transpose(pi + dims))) <= tol
+    return all(np.max(np.abs(tensor - tensor.transpose(pi + dims))) <= SYMMETRY_TOL
                for pi in itertools.permutations(range(kf.k)))
 
 

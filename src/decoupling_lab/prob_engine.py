@@ -4,6 +4,7 @@ Exact laws by column-grid contraction; mixed laws on per-row count vectors.
 Either way the law covers every sample-matrix realization exactly.  Monte
 Carlo tails use a counter-based (Philox) generator so that identical
 (seed, spec) inputs give bit-identical output regardless of scheduling.
+kappa is exact in every dimension, a minimum over finitely many directions.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ import numpy as np
 from .errors import BudgetExceededError, ValidationError
 from .kernel import KernelFamily, _cell_tensor
 from .ustat_engine import _contract, statistic
-from .value_space import DEFAULT_ENUM_BUDGET, DUAL_NORM, DiscreteDistribution, batch_norm
+from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm
 
 _VALUE_DECIMALS = 12  # aggregation resolution for norm values
+CONFIDENCE = 0.99  # of every Clopper-Pearson interval
+KAPPA_MEAN_TOL = 1e-9  # |E Y| above this is not mean zero
+KAPPA_MAX_SUBSETS = 2 ** 16  # atom subsets kappa may take null vectors of
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,9 @@ class DiscreteLaw:
 
     @functools.cached_property
     def suffix_sums(self) -> np.ndarray:
-        """probs[i:].sum() for i = 0..size; entry searchsorted(values, t) equals
-        tail(self, t) bit for bit, summing the same values in the same order."""
+        """probs[i:].sum() for i = 0..size; entry searchsorted(values, t) is
+        P(value >= t), bit for bit the masked sum probs[values >= t].sum(),
+        which adds the same values in the same order."""
         return np.array([self.probs[i:].sum() for i in range(self.probs.size + 1)])
 
 
@@ -62,8 +67,8 @@ def aggregate_law(values, probs) -> DiscreteLaw:
 
 
 def tail(law: DiscreteLaw, t: float) -> float:
-    """P(value >= t)."""
-    return float(law.probs[law.values >= t].sum())
+    """P(value >= t), by lookup in the law's suffix sums."""
+    return float(law.suffix_sums[np.searchsorted(law.values, t)])
 
 
 def moment(law: DiscreteLaw, p: int) -> float:
@@ -210,12 +215,12 @@ class TailEstimate:
             raise ValidationError("confidence interval must contain the estimate")
 
 
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.99):
-    """Exact binomial confidence interval."""
-    # beta.ppf's own routine; scipy.special imports far faster than scipy.stats
+def clopper_pearson(successes: int, trials: int):
+    """Exact binomial confidence interval at level CONFIDENCE."""
+    # beta.ppf's own routine; scipy.special imports far faster than SciPy's stats
     from scipy.special import betaincinv
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     if successes == 0:
         lo = 0.0
     else:
@@ -239,7 +244,7 @@ def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
 
 
 def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,
-            trials: int, seed: int, confidence: float = 0.99) -> list[TailEstimate]:
+            trials: int, seed: int) -> list[TailEstimate]:
     """Monte Carlo tail estimates with Clopper-Pearson intervals."""
     if trials < 100:
         raise ValidationError("trials must be >= 100")
@@ -248,7 +253,7 @@ def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,
     out = []
     for t in t_grid:
         hits = int(np.count_nonzero(norms >= t))
-        lo, hi = clopper_pearson(hits, trials, confidence)
+        lo, hi = clopper_pearson(hits, trials)
         out.append(TailEstimate(float(t), hits / trials, lo, hi, trials, seed))
     return out
 
@@ -256,65 +261,41 @@ def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,
 @dataclass(frozen=True)
 class KappaResult:
     value: float
-    exact: bool  # True only in dimension 1; otherwise an upper estimate
+    exact: bool  # the infimum itself, in every dimension
 
 
-def _dual_unit_directions(dim: int, norm_kind: str, grid_size: int) -> np.ndarray:
-    """Axis directions plus a deterministic low-discrepancy sphere grid,
-    normalized to unit dual norm."""
-    from scipy.stats import qmc
+def kappa(values, probs) -> KappaResult:
+    """Anticoncentration functional: inf over functionals x' of
+    (E|x'(Y)|)^2 / E(x'(Y))^2, exactly, for mean-zero Y of any dimension.
 
-    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
-    sob = qmc.Sobol(d=dim, scramble=False)
-    pts = sob.random(grid_size)
-    # map the unit cube to directions through the Gaussian inverse CDF
-    from scipy.special import ndtri
-    g = ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
-    g = g[np.linalg.norm(g, axis=1) > 1e-9]
-    dirs = np.concatenate([axes, g])
-    dual = DUAL_NORM[norm_kind]
-    if dual == "euclidean":
-        scale = np.linalg.norm(dirs, axis=1)
-    elif dual == "abs_sum":
-        scale = np.sum(np.abs(dirs), axis=1)
-    else:
-        scale = np.max(np.abs(dirs), axis=1)
-    return dirs / scale[:, None]
-
-
-def kappa(values, probs, norm_kind: str = "euclidean",
-          grid_size: int = 1024, mean_tol: float = 1e-9) -> KappaResult:
-    """Anticoncentration functional inf over unit-dual functionals of
-    (E|x'(Y)|)^2 / E(x'(Y))^2.
-
-    Exact in dimension 1; in higher dimension the infimum is approximated
-    from above over axis directions plus a Sobol sphere grid.
+    The ratio ignores the scale of x'.  On each cone of the arrangement
+    {x : x . y_i = 0} of the atoms, E|x'Y| is linear and sqrt(E(x'Y)^2) is a
+    norm, so the ratio is quasi-concave there and its infimum sits on an
+    extreme ray: a direction normal to r - 1 independent atoms, r the rank of
+    the atoms.  The atoms are written in a basis of their span and every
+    (r-1)-subset contributes its null vector; a dependent subset contributes
+    some other direction, which cannot undercut the infimum.
     """
     v = np.asarray(values, dtype=float)
     p = np.asarray(probs, dtype=float)
-    if v.ndim == 1:
-        mean = float(np.dot(p, v))
-        second = float(np.dot(p, v * v))
-        if abs(mean) > mean_tol:
-            raise ValidationError(f"Y must be mean zero (mean={mean})")
-        if second <= 0:
-            raise ValidationError("Y is almost surely 0")
-        first = float(np.dot(p, np.abs(v)))
-        return KappaResult(first * first / second, exact=True)
-    if v.ndim != 2:
+    if v.ndim not in (1, 2):
         raise ValidationError("values must be (m,) or (m, dim)")
+    v = v.reshape(len(v), -1)
     mean = p @ v
-    if float(np.max(np.abs(mean))) > mean_tol:
-        raise ValidationError("Y must be mean zero")
-    if float(np.max(np.abs(v))) == 0.0:
+    if float(np.max(np.abs(mean))) > KAPPA_MEAN_TOL:
+        raise ValidationError(f"Y must be mean zero (mean={mean.tolist()})")
+    _, s, basis = np.linalg.svd(v, full_matrices=False)
+    r = int(np.count_nonzero(s > s[0] * max(v.shape) * np.finfo(float).eps))
+    if r == 0:
         raise ValidationError("Y is almost surely 0")
-    dirs = _dual_unit_directions(v.shape[1], norm_kind, grid_size)
-    proj = v @ dirs.T  # (m, D)
-    second = p @ (proj * proj)
+    if math.comb(len(v), r - 1) > KAPPA_MAX_SUBSETS:
+        raise BudgetExceededError(f"C({len(v)}, {r - 1}) atom subsets exceed "
+                                  f"{KAPPA_MAX_SUBSETS}")
+    w = v @ basis[:r].T
+    subsets = np.array(list(itertools.combinations(range(len(w)), r - 1)), dtype=int)
+    proj = w @ np.linalg.svd(w[subsets])[2][:, -1].T  # (m, directions)
     first = p @ np.abs(proj)
-    ok = second > 1e-15
-    ratios = (first[ok] ** 2) / second[ok]
-    return KappaResult(float(np.min(ratios)), exact=False)
+    return KappaResult(float(np.min(first * first / (p @ (proj * proj)))), exact=True)
 
 
 def support_grid(*laws: DiscreteLaw) -> np.ndarray:

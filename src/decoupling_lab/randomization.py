@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetExceededError, ValidationError
 from .kernel import KernelFamily
 from .ustat_engine import mixed_sum, slot_sum, statistic
-from .value_space import DiscreteDistribution, norm
+from .value_space import DiscreteDistribution, batch_norm, norm
 
 DEFAULT_RANDOMIZATION_BUDGET = 2 ** 24
 
@@ -83,29 +83,25 @@ def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
     for j in itertools.product((0, 1), repeat=k):
         weights = [1 + signs if j[r] == pattern[r] else 1 - signs for r in range(k)]
         rhs = rhs + slot_sum(kf, s, [(c,) for c in j], weights)
-    diff = lhs - rhs
-    if kf.dim == 1:
-        return np.abs(diff)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return batch_norm(lhs - rhs, "euclidean", kf.dim)
 
 
-def sign_conditional_expectation(kf: KernelFamily, s: np.ndarray, pattern,
-                                 budget: int = DEFAULT_RANDOMIZATION_BUDGET):
+def sign_conditional_expectation(kf: KernelFamily, s: np.ndarray, pattern):
     """Exact average of the coupled pattern sum over all 2^n sign vectors.
 
     Equals 2^{-k} times the two-copy mixed sum, for every pattern.
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
-    if 2 ** n > budget:
-        raise BudgetExceededError(f"2^{n} sign vectors exceed budget {budget}")
+    if 2 ** n > DEFAULT_RANDOMIZATION_BUDGET:
+        raise BudgetExceededError(
+            f"2^{n} sign vectors exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")
     signs = all_sign_vectors(n)
     values = _pattern_sum_under_signs(kf, s, signs, pattern)
     return np.mean(values, axis=0)
 
 
-def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int,
-                                     budget: int = DEFAULT_RANDOMIZATION_BUDGET):
+def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int):
     """Exact average of the coupled statistic over all l^n selector matrices.
 
     Equals (1/l)^k times the l-copy mixed sum.
@@ -114,8 +110,9 @@ def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int,
     if s.shape[1] < l:
         raise ValidationError("sample has fewer columns than l")
     n = s.shape[0]
-    if l ** n > budget:
-        raise BudgetExceededError(f"{l}^{n} selector matrices exceed budget {budget}")
+    if l ** n > DEFAULT_RANDOMIZATION_BUDGET:
+        raise BudgetExceededError(
+            f"{l}^{n} selector matrices exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")
     z = s[np.arange(n)[None, :], all_choice_vectors(n, l)]  # (l^n, n) coupled rows
     values = statistic(kf, z[..., None], "coupled")
     return np.mean(values, axis=0)

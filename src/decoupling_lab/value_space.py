@@ -18,28 +18,17 @@ DEFAULT_ENUM_BUDGET = 2 ** 24
 
 NORM_KINDS = ("abs_sum", "euclidean", "maximum")
 
-# dual pairing used when unit-dual-norm functionals are needed (kappa grid)
-DUAL_NORM = {"abs_sum": "maximum", "euclidean": "euclidean", "maximum": "abs_sum"}
-
 
 def norm(v, kind: str = "euclidean") -> float:
-    """Norm of a scalar or 1-D vector value.
+    """Norm of a scalar or 1-D vector value: `batch_norm` of that one value.
 
-    Scalars (and 0-d arrays) are treated as dimension 1, where all three
-    kinds coincide with the absolute value.
+    Scalars (and 0-d arrays) are dimension 1, where all three kinds coincide
+    with the absolute value.
     """
-    if kind not in NORM_KINDS:
-        raise ValidationError(f"unknown norm kind {kind!r}")
     a = np.asarray(v, dtype=float)
-    if a.ndim == 0:
-        return float(abs(a))
-    if a.ndim != 1:
+    if a.ndim > 1:
         raise ValidationError(f"norm expects a scalar or 1-D vector, got shape {a.shape}")
-    if kind == "abs_sum":
-        return float(np.sum(np.abs(a)))
-    if kind == "maximum":
-        return float(np.max(np.abs(a)))
-    return float(np.sqrt(np.sum(a * a)))
+    return batch_norm(a, kind, a.size).item()
 
 
 def batch_norm(values: np.ndarray, kind: str, dim: int) -> np.ndarray:

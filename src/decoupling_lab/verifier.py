@@ -26,7 +26,7 @@ from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
 from .prob_engine import (DiscreteLaw, StatisticSpec, aggregate_law, exact_law,
                           kappa, moment, support_grid, tail)
 from .randomization import all_sign_vectors, all_choice_vectors
-from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, norm
+from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm
 
 IDENTITY_TOL = 1e-12
 # Larger constants count as infeasible: without a ceiling almost every theorem1
@@ -173,21 +173,16 @@ def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str
 # lemma and proposition checks
 # ---------------------------------------------------------------------------
 
-def _atom_array(atom) -> np.ndarray:
-    return np.asarray(atom, dtype=float)
-
-
 def verify_lemma1(dist: DiscreteDistribution,
                   norm_kind: str = "euclidean") -> InequalityReport:
     """P(||X|| >= t) <= 3 P(||X + Y|| >= 2t/3) for X, Y i.i.d. with law `dist`."""
-    probs = dist.probs_array()
-    norms_x = [norm(_atom_array(a), norm_kind) for a in dist.atoms]
-    law_x = aggregate_law(norms_x, probs)
-    pair_vals, pair_probs = [], []
-    for (i, a), (j, b) in itertools.product(enumerate(dist.atoms), repeat=2):
-        pair_vals.append(norm(_atom_array(a) + _atom_array(b), norm_kind))
-        pair_probs.append(probs[i] * probs[j])
-    law_sum = aggregate_law(pair_vals, pair_probs)
+    atoms, probs = dist.values_array(), dist.probs_array()
+    dim = atoms[0].size
+    law_x = aggregate_law(batch_norm(atoms, norm_kind, dim).ravel(), probs)
+    # every pair (i, j) in row-major order
+    pairs = atoms[:, None] + atoms[None, :]
+    law_sum = aggregate_law(batch_norm(pairs, norm_kind, dim).ravel(),
+                            np.outer(probs, probs).ravel())
     rows = []
     for t in support_grid(law_x):
         if t <= 0:
@@ -237,12 +232,8 @@ def verify_lemma2(coeffs: dict, x, n: int, norm_kind: str = "euclidean",
     and a report asserting strict positivity.
     """
     values = sign_chaos_values(coeffs, n, x0=x)
-    x_arr = np.asarray(x, dtype=float)
-    target = norm(x_arr, norm_kind)
-    if values.ndim == 1:
-        norms = np.abs(values)
-    else:
-        norms = np.array([norm(v, norm_kind) for v in values])
+    target = norm(x, norm_kind)
+    norms = batch_norm(values, norm_kind, values[0].size)
     prob = float(np.count_nonzero(norms >= target - IDENTITY_TOL)) / values.shape[0]
     row = CheckRow(target, prob, 0.0, prob > 0.0)
     return prob, InequalityReport("lemma2", f"n={n}, terms={len(coeffs)}", (row,))
@@ -447,12 +438,13 @@ def _instances(cfg: CorpusConfig):
         for n, k in cfg.nk_pairs:
             for i, cls in enumerate(cfg.kernel_classes):
                 kf = build_kernel(cls, n, k, seed=cfg.seed * 1000 + i)
-                yield dist_name, dist, kf
+                yield f"{dist_name}:{kf.label}:n{n}k{k}", dist, kf
 
 
 def run_corpus(cfg: CorpusConfig) -> dict:
     """Execute the configured checks over the corpus; returns a JSON-ready dict,
-    with each check's wall seconds and exact laws computed under `checks`, and
+    with each check's wall seconds and exact laws computed under `checks`, each
+    instance left out for the enumeration budget under `summary.skipped`, and
     each requested check that records no result under `summary.not_run`."""
     from . import prob_engine as pe
     from . import randomization as rz
@@ -468,7 +460,7 @@ def run_corpus(cfg: CorpusConfig) -> dict:
     law_of = functools.cache(lambda spec, dist: exact_law(spec, dist, cfg.enum_budget))
     symmetric = functools.cache(check_symmetry)
     checks: dict = {}
-    over_budget = set()  # checks that skipped an instance for the enumeration budget
+    skipped = []  # instances left out for the enumeration budget, with the reason
     since = [time.perf_counter(), 0]  # clock and exact-law count at the last result
 
     def record(check, instance, passed, detail, n=None, k=None, l=None):
@@ -481,6 +473,14 @@ def run_corpus(cfg: CorpusConfig) -> dict:
         spent["wall_s"] += now - since[0]
         spent["exact_laws"] += laws - since[1]
         since[:] = now, laws
+
+    def over_budget(check, instance, m, cells):
+        if m ** cells <= cfg.enum_budget:
+            return False
+        skipped.append({"check": check, "instance_id": instance, "reason":
+                        f"{m}^{cells} = {m ** cells} realizations exceeds "
+                        f"budget {cfg.enum_budget}"})
+        return True
 
     def record_rows(check, instance, rows, n=None, k=None, l=None, constant=None):
         for r in rows:
@@ -501,7 +501,7 @@ def run_corpus(cfg: CorpusConfig) -> dict:
             constants[key] = max(constants.get(key, 1.0), res.c_min)
 
     if "identities" in cfg.checks:
-        for dist_name, dist, kf in instances:
+        for inst, dist, kf in instances:
             n, k = kf.n, kf.k
             if n > 6:
                 continue
@@ -525,19 +525,17 @@ def run_corpus(cfg: CorpusConfig) -> dict:
                 np.asarray(ue.pattern_sum(kf, s, p))
                 for p in pe.StatisticSpec(kf, "not_all_equal").patterns())
             worst = max(worst, norm(partition, cfg.norm_kind))
-            inst = f"{dist_name}:{kf.label}:n{n}k{k}"
             record("identities", inst, worst <= cfg.identity_tol,
                    {"max_residual": worst}, n=n, k=k)
 
     if "mazur_orlicz" in cfg.checks:
         ok = mazur_orlicz_exhaustive(6)
         record("mazur_orlicz", "coefficient:k<=6", ok, {})
-        for dist_name, dist, kf in instances:
+        for inst, dist, kf in instances:
             if not kf.symmetric_claimed or kf.k > 4:
                 continue
             s = draw_sample_matrix(rng, dist, kf.n, kf.k)
             res = symmetrized_expansion_residual(kf, s, cfg.norm_kind)
-            inst = f"{dist_name}:{kf.label}:n{kf.n}k{kf.k}"
             record("mazur_orlicz", inst, res <= cfg.identity_tol,
                    {"residual": res}, n=kf.n, k=kf.k)
 
@@ -607,26 +605,24 @@ def run_corpus(cfg: CorpusConfig) -> dict:
                              ("lower", "theorem1_lower")):
         if check not in cfg.checks:
             continue
-        for dist_name, dist, kf in instances:
+        for inst, dist, kf in instances:
             n, k = kf.n, kf.k
             if direction == "lower" and not kf.symmetric_claimed:
                 continue
-            if dist.size ** (n * k) > cfg.enum_budget:
-                over_budget.add(check)
+            if over_budget(check, inst, dist.size, n * k):
                 continue
             res = minimal_constant(*_search_laws(kf, dist, direction, None, cfg.norm_kind,
                                                  law_of, symmetric), direction)
-            record_search(check, f"{dist_name}:{kf.label}:n{n}k{k}", res,
+            record_search(check, inst, res,
                           {"max_slack": max(res.slack, default=0.0)}, n, k)
 
     if "lemma3" in cfg.checks:
-        for dist_name, dist, kf in instances:
+        for inst, dist, kf in instances:
             n, k = kf.n, kf.k
             if not kf.symmetric_claimed:
                 continue
             for l in range(1, k + 1):
-                if dist.size ** (n * max(l, 1)) > cfg.enum_budget:
-                    over_budget.add("lemma3")
+                if over_budget("lemma3", f"{inst}l{l}", dist.size, n * l):
                     continue
                 mixed, coupled = _search_laws(kf, dist, "lemma3", l, cfg.norm_kind,
                                               law_of, symmetric)
@@ -635,7 +631,7 @@ def run_corpus(cfg: CorpusConfig) -> dict:
                 # of the selector conditional-expectation identity
                 scaled = minimal_constant(DiscreteLaw(mixed.values / l ** k, mixed.probs),
                                           coupled, "lemma3_scaled")
-                record_search("lemma3", f"{dist_name}:{kf.label}:n{n}k{k}l{l}", res,
+                record_search("lemma3", f"{inst}l{l}", res,
                               {"c_min_scaled": scaled.c_min}, n, k, l)
                 keep_worst(scaled, k)
 
@@ -643,9 +639,8 @@ def run_corpus(cfg: CorpusConfig) -> dict:
         covered = 0
         total = 0
         for i in range(0, len(instances), 3):
-            dist_name, dist, kf = instances[i]
-            if dist.size ** (kf.n * kf.k) > cfg.enum_budget:
-                over_budget.add("mc_consistency")
+            inst, dist, kf = instances[i]
+            if over_budget("mc_consistency", inst, dist.size, kf.n * kf.k):
                 continue
             spec = pe.StatisticSpec(kf, "pattern", pattern=tuple(range(kf.k)),
                                     norm_kind=cfg.norm_kind)
@@ -672,7 +667,10 @@ def run_corpus(cfg: CorpusConfig) -> dict:
         "lemma2_min_probability": {f"k={k}": p
                                    for k, p in sorted(lemma2_min.items())},
     }
-    not_run = {c: NOT_RUN_BUDGET if c in over_budget else NOT_RUN_CONFIG
+    if skipped:  # only then, like not_run, so a report with none keeps its bytes
+        summary["skipped"] = skipped
+    budget_hit = {s["check"] for s in skipped}
+    not_run = {c: NOT_RUN_BUDGET if c in budget_hit else NOT_RUN_CONFIG
                for c in cfg.checks if c not in checks}  # checks that recorded a result
     if not_run:  # only then, so a report where every check ran keeps its bytes
         summary["not_run"] = not_run

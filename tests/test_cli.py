@@ -132,8 +132,11 @@ def test_cli_identities_subcommand(tmp_path):
 
 
 def test_cli_import_skips_scipy_stats():
+    # nor does an exact kappa in dimension 2 load it
     src = str(Path(decoupling_lab.__file__).resolve().parents[1])
-    code = "import sys, decoupling_lab.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, decoupling_lab.cli; from decoupling_lab import kappa; "
+            "kappa([[1, 1], [1, -1], [-1, 1], [-1, -1]], [0.25] * 4); "
+            "print('scipy.stats' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
@@ -164,6 +167,24 @@ def test_cli_check_emptied_by_budget_exits_3(tmp_path, capsys):
     assert summary["failed"] == 0 and summary["total"] == 5
     assert summary["not_run"] == {"theorem1_upper": verifier.NOT_RUN_BUDGET,
                                   "mc_consistency": verifier.NOT_RUN_BUDGET}
+
+
+def test_cli_lists_instances_skipped_over_budget(tmp_path, capsys):
+    # at budget 16 the default corpus runs only the 9 Rademacher lemma3 searches
+    # with l = 1
+    out = tmp_path / "r.json"
+    assert main(["verify", "--budget", "16", "--checks", "lemma3",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "9/9 checks passed, 33 instances skipped over budget" in captured.out
+    assert captured.err.count("skipped: lemma3 ") == 33
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["total"] == 9 and "not_run" not in summary
+    skipped = summary["skipped"]
+    assert len(skipped) == 33 and {s["check"] for s in skipped} == {"lemma3"}
+    assert skipped[0] == {"check": "lemma3",
+                          "instance_id": "rademacher:product:n3k2l2",
+                          "reason": "2^6 = 64 realizations exceeds budget 16"}
 
 
 def test_cli_constants_csv_has_one_row_per_search(tmp_path):

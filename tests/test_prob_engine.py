@@ -57,6 +57,15 @@ def test_tail_monotone():
     assert tail(law, 0.0) == pytest.approx(1.0)
 
 
+def test_tail_lookup_equals_masked_sum():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        vals = np.sort(rng.choice(np.arange(-6.0, 7.0), size=5, replace=False))
+        law = DiscreteLaw(vals, rng.dirichlet(np.ones(5)))
+        for t in np.concatenate([support_grid(law), [-10.0, vals[0]]]):
+            assert tail(law, t) == float(law.probs[law.values >= t].sum())
+
+
 def test_moment_examples():
     # law of a two-sign sum: values -2, 0, 0, 2
     law = aggregate_law([-2.0, 0.0, 0.0, 2.0], [0.25] * 4)
@@ -93,13 +102,62 @@ def test_kappa_validation():
         kappa(np.array([0.0]), np.array([1.0]))  # degenerate
 
 
-def test_kappa_2d_upper_estimate():
-    # independent signs in 2-D: axis functionals give ratio 1
+def test_kappa_2d_independent_signs():
+    # independent signs in 2-D: the diagonal functional x1 + x2 gives 1/2
     vals = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
     res = kappa(vals, np.full(4, 0.25))
-    assert not res.exact
-    assert res.value <= 1.0 + 1e-12
-    assert res.value > 0.0
+    assert res.exact
+    assert res.value == pytest.approx(0.5, abs=1e-12)
+
+
+def _mean_zero_vector_law(rng, dim):
+    # +/- pairs of integer atoms with equal weights: exactly mean zero
+    a = rng.integers(-3, 4, size=(int(rng.integers(2, 8)), dim)).astype(float)
+    a = a[np.any(a != 0, axis=1)]
+    w = rng.integers(1, 9, size=len(a)).astype(float)
+    p = np.concatenate([w, w])
+    return np.concatenate([a, -a]), p / p.sum()
+
+
+def test_kappa_3d_never_above_random_directions():
+    rng = np.random.default_rng(11)
+    dirs = rng.standard_normal((10 ** 5, 3))
+    for _ in range(10):
+        vals, probs = _mean_zero_vector_law(rng, 3)
+        if len(vals) == 0:
+            continue
+        proj = vals @ dirs.T
+        ratios = (probs @ np.abs(proj)) ** 2 / (probs @ proj ** 2)
+        res = kappa(vals, probs)
+        assert res.exact and res.value <= np.min(ratios) + 1e-12
+
+
+def test_kappa_collinear_2d_equals_1d_projection():
+    v = np.array([3.0, -1.0, -2.0, 1.5, -1.5])
+    p = np.array([0.1, 0.3, 0.15, 0.2, 0.25])
+    v = v - p @ v
+    res = kappa(np.outer(v, [2.0, -1.0]), p)
+    assert res.exact
+    assert res.value == pytest.approx(kappa(v, p).value, abs=1e-12)
+
+
+def test_kappa_1d_bit_identical_to_moment_ratio():
+    from decoupling_lab.verifier import random_mean_zero_law
+
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        law = random_mean_zero_law(rng)
+        v, p = law.values_array(), law.probs_array()
+        first = float(np.dot(p, np.abs(v)))
+        assert kappa(v, p).value == first * first / float(np.dot(p, v * v))
+
+
+def test_kappa_subset_ceiling():
+    # 30 atoms of rank 10: C(30, 9) null-vector subsets
+    rng = np.random.default_rng(0)
+    a = rng.integers(-3, 4, size=(15, 10)).astype(float)
+    with pytest.raises(BudgetExceededError, match="subsets"):
+        kappa(np.concatenate([a, -a]), np.full(30, 1 / 30))
 
 
 def test_kappa_at_most_one():

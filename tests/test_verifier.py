@@ -9,7 +9,7 @@ from decoupling_lab.kernel import (check_symmetry, constant_kernel,
                                    first_argument_kernel, product_kernel,
                                    random_coefficient_kernel)
 from decoupling_lab.prob_engine import (DiscreteLaw, StatisticSpec, aggregate_law,
-                                        exact_law, tail)
+                                        exact_law)
 from decoupling_lab.value_space import DiscreteDistribution, rademacher, uniform
 from decoupling_lab.verifier import (CorpusConfig, mazur_orlicz_exhaustive,
                                      minimal_constant, random_law, run_corpus,
@@ -193,15 +193,18 @@ def _reference_slack(law_l, law_r, c):
     # per-threshold masked tail sums on a dense grid: every positive support
     # point of both laws and every c * w, the points just above and below
     # each, the midpoints between them, and one point below them all
+    def masked_tail(law, u):
+        return float(law.probs[law.values >= u].sum())
+
     def tail_tol(law, u):
-        eps = 1e-9 * max(1.0, abs(u))
-        return float(law.probs[law.values >= u - eps].sum())
+        return masked_tail(law, u - 1e-9 * max(1.0, abs(u)))
 
     pts = np.concatenate([law_l.values, law_r.values, c * law_r.values])
     pts = np.unique(pts[pts > 0])
     ts = np.unique(np.concatenate([pts, pts * (1 + 1e-6), pts * (1 - 1e-6),
                                    (pts[1:] + pts[:-1]) / 2, pts[:1] / 2]))
-    return ts, np.array([tail(law_l, t) - c * tail_tol(law_r, t / c) for t in ts])
+    return ts, np.array([masked_tail(law_l, t) - c * tail_tol(law_r, t / c)
+                         for t in ts])
 
 
 def _reference_feasible(law_l, law_r, c):
