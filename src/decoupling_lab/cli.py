@@ -1,9 +1,10 @@
 """Batch driver: config ingestion, campaign execution, machine-readable reports.
 
-Config and report are JSON.  The report carries the echoed config, per-check
-results, a summary, and meta information (including each check's wall seconds
-and exact laws computed, under `meta.checks`); a flat CSV export (one row per
-check per threshold) is written next to the JSON report for plotting.
+Config and report are JSON; `_SECTIONS` maps each config key to the CorpusConfig
+field it sets, which validates it.  The report carries the echoed config,
+per-check results, a summary, and meta information (each requested check's wall
+seconds and exact laws computed, under `meta.checks`); a flat CSV export (one
+row per check per threshold) is written next to the JSON report for plotting.
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error,
 3 budget/resource error.  Instances left out for the enumeration budget are
@@ -39,11 +40,19 @@ _CHECK_ALIASES = {
     "mc-consistency": "mc_consistency",
 }
 
-_TOP_KEYS = {"seed", "corpus", "budgets", "tolerances", "checks", "output"}
-_CORPUS_KEYS = {"distributions", "kernel_classes", "nk_pairs", "ls", "law_count",
-                "norm"}
-_BUDGET_KEYS = {"enumeration", "mc_trials"}
-_TOLERANCE_KEYS = {"identity"}
+# Each config section: its keys, the CorpusConfig field each sets and how its
+# JSON value converts.  _config_dict echoes the same fields under the same keys.
+_SECTIONS = {
+    "corpus": {
+        "distributions": ("distributions", tuple),
+        "kernel_classes": ("kernel_classes", tuple),
+        "nk_pairs": ("nk_pairs", lambda v: tuple((int(p[0]), int(p[1])) for p in v)),
+        "ls": ("ls", lambda v: tuple(int(x) for x in v)),
+        "law_count": ("law_count", int),
+        "norm": ("norm_kind", str)},
+    "budgets": {"enumeration": ("enum_budget", int), "mc_trials": ("mc_trials", int)},
+    "tolerances": {"identity": ("identity_tol", float)},
+}
 
 
 def parse_config(text: str) -> tuple[CorpusConfig, str | None]:
@@ -54,7 +63,7 @@ def parse_config(text: str) -> tuple[CorpusConfig, str | None]:
         raise ValidationError(f"config is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - {"seed", "checks", "output", *_SECTIONS}
     if unknown:
         raise ValidationError(f"unknown top-level config field(s): {sorted(unknown)}")
 
@@ -63,58 +72,28 @@ def parse_config(text: str) -> tuple[CorpusConfig, str | None]:
         if not isinstance(raw["seed"], int):
             raise ValidationError("seed: must be an integer")
         kwargs["seed"] = raw["seed"]
-    corpus = raw.get("corpus", {})
-    unknown = set(corpus) - _CORPUS_KEYS
-    if unknown:
-        raise ValidationError(f"corpus: unknown field(s): {sorted(unknown)}")
-    if "distributions" in corpus:
-        kwargs["distributions"] = tuple(corpus["distributions"])
-        for name in kwargs["distributions"]:
-            named_distribution(name)  # raises on unknown names
-    if "kernel_classes" in corpus:
-        kwargs["kernel_classes"] = tuple(corpus["kernel_classes"])
-    if "nk_pairs" in corpus:
-        kwargs["nk_pairs"] = tuple((int(p[0]), int(p[1])) for p in corpus["nk_pairs"])
-    if "ls" in corpus:
-        kwargs["ls"] = tuple(int(x) for x in corpus["ls"])
-    if "law_count" in corpus:
-        kwargs["law_count"] = int(corpus["law_count"])
-    if "norm" in corpus:
-        kwargs["norm_kind"] = str(corpus["norm"])
-    budgets = raw.get("budgets", {})
-    unknown = set(budgets) - _BUDGET_KEYS
-    if unknown:
-        raise ValidationError(f"budgets: unknown field(s): {sorted(unknown)}")
-    if "enumeration" in budgets:
-        kwargs["enum_budget"] = int(budgets["enumeration"])
-    if "mc_trials" in budgets:
-        kwargs["mc_trials"] = int(budgets["mc_trials"])
-    tolerances = raw.get("tolerances", {})
-    unknown = set(tolerances) - _TOLERANCE_KEYS
-    if unknown:
-        raise ValidationError(f"tolerances: unknown field(s): {sorted(unknown)}")
-    if "identity" in tolerances:
-        kwargs["identity_tol"] = float(tolerances["identity"])
+    for section, fields in _SECTIONS.items():
+        given = raw.get(section, {})
+        if not isinstance(given, dict):
+            raise ValidationError(f"{section}: must be a JSON object")
+        unknown = set(given) - set(fields)
+        if unknown:
+            raise ValidationError(f"{section}: unknown field(s): {sorted(unknown)}")
+        kwargs.update((fields[key][0], fields[key][1](v)) for key, v in given.items())
     if "checks" in raw:
         kwargs["checks"] = tuple(_CHECK_ALIASES.get(c, c) for c in raw["checks"])
     return CorpusConfig(**kwargs), raw.get("output")
 
 
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
 def _config_dict(cfg: CorpusConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "corpus": {
-            "distributions": list(cfg.distributions),
-            "kernel_classes": list(cfg.kernel_classes),
-            "nk_pairs": [list(p) for p in cfg.nk_pairs],
-            "ls": list(cfg.ls),
-            "law_count": cfg.law_count,
-            "norm": cfg.norm_kind,
-        },
-        "budgets": {"enumeration": cfg.enum_budget, "mc_trials": cfg.mc_trials},
-        "tolerances": {"identity": cfg.identity_tol},
-        "checks": list(cfg.checks),
-    }
+    return {"seed": cfg.seed, "checks": list(cfg.checks),
+            **{section: {key: _listed(getattr(cfg, name))
+                         for key, (name, _) in fields.items()}
+               for section, fields in _SECTIONS.items()}}
 
 
 def run(cfg: CorpusConfig, out_path: str | None = None) -> tuple[dict, int]:

@@ -35,34 +35,29 @@ def all_choice_vectors(n: int, l: int) -> np.ndarray:
 
 
 def sign_couple(s: np.ndarray, signs) -> np.ndarray:
-    """Swap the two columns of row i when the i-th sign is -1; s is (..., n, 2)."""
+    """Swap the two columns of row i when the i-th sign is -1; s is (..., n, 2)
+    and signs (..., n), whose batch axes broadcast against those of s."""
     s = np.asarray(s)
     signs = np.asarray(signs, dtype=np.int64)
     if s.ndim < 2 or s.shape[-1] != 2:
         raise ValidationError("sign coupling needs a two-column sample matrix")
-    if signs.shape != s.shape[-2:-1]:
+    if signs.shape[-1:] != s.shape[-2:-1]:
         raise ValidationError("sign vector length must match row count")
     if not np.all(np.abs(signs) == 1):
         raise ValidationError("signs must be +/-1")
-    return np.where(signs[:, None] > 0, s, s[..., ::-1])
+    return np.where(signs[..., None] > 0, s, s[..., ::-1])
 
 
 def selector_couple(s: np.ndarray, choices) -> np.ndarray:
-    """Pick the chosen column entry per row; s is (..., n, l)."""
+    """Pick the chosen column entry per row; s is (..., n, l) with choices (n,),
+    or s is (n, l) with a batch of choices (..., n)."""
     s = np.asarray(s)
     choices = np.asarray(choices, dtype=np.int64)
-    if s.ndim < 2 or choices.shape != s.shape[-2:-1]:
+    if s.ndim < 2 or choices.shape[-1:] != s.shape[-2:-1]:
         raise ValidationError("choice vector length must match row count")
     if np.any(choices < 0) or np.any(choices >= s.shape[-1]):
         raise ValidationError("choice out of column range")
     return s[..., np.arange(s.shape[-2]), choices]
-
-
-def _pattern_sum_under_signs(kf: KernelFamily, s: np.ndarray,
-                             signs: np.ndarray, pattern) -> np.ndarray:
-    """pattern_sum on the sign-coupled sample, vectorized over a batch of signs."""
-    coupled = np.where(signs[:, :, None] > 0, s, s[:, ::-1])  # (B, n, 2)
-    return statistic(kf, coupled, "pattern", tuple(int(p) for p in pattern))
 
 
 def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
@@ -78,7 +73,7 @@ def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
     signs = np.asarray(signs, dtype=np.int64)
     pattern = tuple(int(p) for p in pattern)
     k = kf.k
-    lhs = (2.0 ** k) * _pattern_sum_under_signs(kf, s, signs, pattern)
+    lhs = (2.0 ** k) * statistic(kf, sign_couple(s, signs), "pattern", pattern)
     rhs = 0.0
     for j in itertools.product((0, 1), repeat=k):
         weights = [1 + signs if j[r] == pattern[r] else 1 - signs for r in range(k)]
@@ -96,8 +91,8 @@ def sign_conditional_expectation(kf: KernelFamily, s: np.ndarray, pattern):
     if 2 ** n > DEFAULT_RANDOMIZATION_BUDGET:
         raise BudgetExceededError(
             f"2^{n} sign vectors exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")
-    signs = all_sign_vectors(n)
-    values = _pattern_sum_under_signs(kf, s, signs, pattern)
+    coupled = sign_couple(s, all_sign_vectors(n))  # (2^n, n, 2)
+    values = statistic(kf, coupled, "pattern", tuple(int(p) for p in pattern))
     return np.mean(values, axis=0)
 
 
@@ -113,7 +108,7 @@ def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int):
     if l ** n > DEFAULT_RANDOMIZATION_BUDGET:
         raise BudgetExceededError(
             f"{l}^{n} selector matrices exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")
-    z = s[np.arange(n)[None, :], all_choice_vectors(n, l)]  # (l^n, n) coupled rows
+    z = selector_couple(s, all_choice_vectors(n, l))  # (l^n, n) coupled rows
     values = statistic(kf, z[..., None], "coupled")
     return np.mean(values, axis=0)
 

@@ -6,8 +6,13 @@ is an implementation bug, never sampling noise.  Tail laws are finite step
 functions, so the smallest constant C with all-t tail domination (factor C,
 threshold t/C) is a max-min over pairs of support points; each tail is a
 lookup in the law's suffix sums, and an independent tail-domination check
-confirms every constant before it counts.  A campaign computes each exact law
-once per instance and reuses it in every check that compares it.
+confirms every constant before it counts.
+
+A campaign is a table of checks: each check is a generator that yields its
+results (with their table rows) or the instances the enumeration budget left
+out, and one driver records them, times each check and derives the summary.
+Each exact law is computed once per instance and reused in every check that
+compares it.
 """
 
 from __future__ import annotations
@@ -16,17 +21,19 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SymmetryError, ValidationError
+from . import kernel as kmod, randomization as rz, ustat_engine as ue
+from .errors import BudgetExceededError, SymmetryError, ValidationError
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient)
 from .prob_engine import (DiscreteLaw, StatisticSpec, aggregate_law, exact_law,
-                          kappa, moment, support_grid, tail)
+                          kappa, mc_tail, moment, support_grid, tail)
 from .randomization import all_sign_vectors, all_choice_vectors
-from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm
+from .value_space import (DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm,
+                          rademacher, uniform)
 
 IDENTITY_TOL = 1e-12
 # Larger constants count as infeasible: without a ceiling almost every theorem1
@@ -46,8 +53,6 @@ class CheckRow:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    name: str
-    instance: str
     rows: tuple
 
     @property
@@ -60,8 +65,9 @@ class ConstantSearchResult:
     direction: str
     c_min: float
     feasible: bool
-    t_grid: tuple  # positive support points of the left law
-    slack: tuple  # lhs_tail(t) - c_min * rhs_tail(t / c_min) per grid t
+    # max of lhs_tail(t) - c_min * rhs_tail(t / c_min) over the positive left
+    # support points t; 0.0 when there is none or the search is infeasible
+    max_slack: float
     binding: dict | None = None  # {"v", "w", "at_top"} where c_min binds, if anywhere
     row: CheckRow | None = None  # the tail comparison at t = binding v
 
@@ -126,16 +132,19 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw,
             row = CheckRow(float(v[i]), float(a[i]), rhs,
                            bool(a[i] <= rhs + IDENTITY_TOL))
     if not (c_min <= C_CEILING and tails_dominated(law_l, law_r, c_min)):
-        return ConstantSearchResult(direction, math.nan, False, (), ())
-    ts, slack = _max_slack(law_l, law_r, c_min)
-    return ConstantSearchResult(direction, c_min, True, tuple(ts.tolist()),
-                                tuple(slack.tolist()), binding, row)
+        return ConstantSearchResult(direction, math.nan, False, 0.0)
+    _, slack = _max_slack(law_l, law_r, c_min)
+    return ConstantSearchResult(direction, c_min, True, max(slack.tolist(), default=0.0),
+                                binding, row)
 
 
 def _search_laws(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
                  l: int | None, norm_kind: str, law_of, symmetric) -> tuple:
     """The (left, right) exact laws search_constant compares, from
-    law_of(spec, dist), with the symmetry verdict from symmetric(kf, dist)."""
+    law_of(spec, dist), with the symmetry verdict from symmetric(kf, dist).
+
+    The law on more copies is computed first, so a budget refusal names its
+    m^(n*copies) and comes before any law is computed."""
     k = kf.k
     left = StatisticSpec(kf, "coupled", norm_kind=norm_kind)
     right = StatisticSpec(kf, "pattern", pattern=tuple(range(k)), norm_kind=norm_kind)
@@ -150,7 +159,9 @@ def _search_laws(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
     if direction != "upper" and not symmetric(kf, dist):
         raise SymmetryError(
             f"{direction}-direction search requires a symmetric kernel, got {kf.label}")
-    return law_of(left, dist), law_of(right, dist)
+    laws = {s: law_of(s, dist) for s in sorted((left, right), reverse=True,
+                                                key=lambda s: s.copies_needed)}
+    return laws[left], laws[right]
 
 
 def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
@@ -190,7 +201,7 @@ def verify_lemma1(dist: DiscreteDistribution,
         lhs = tail(law_x, t)
         rhs = 3.0 * float(_tail_tol(law_sum, 2.0 * t / 3.0))
         rows.append(CheckRow(float(t), lhs, rhs, lhs <= rhs + IDENTITY_TOL))
-    return InequalityReport("lemma1", f"law({len(dist.atoms)} atoms)", tuple(rows))
+    return InequalityReport(tuple(rows))
 
 
 def verify_prop1(a: float, dist: DiscreteDistribution) -> InequalityReport:
@@ -202,7 +213,7 @@ def verify_prop1(a: float, dist: DiscreteDistribution) -> InequalityReport:
     lhs = float(probs[np.abs(a + values) >= target - IDENTITY_TOL].sum())
     rhs = kap / 4.0
     row = CheckRow(target, lhs, rhs, lhs + IDENTITY_TOL >= rhs)
-    return InequalityReport("prop1", f"a={a}", (row,))
+    return InequalityReport((row,))
 
 
 def sign_chaos_values(coeffs: dict, n: int, x0=0.0) -> np.ndarray:
@@ -236,7 +247,7 @@ def verify_lemma2(coeffs: dict, x, n: int, norm_kind: str = "euclidean",
     norms = batch_norm(values, norm_kind, values[0].size)
     prob = float(np.count_nonzero(norms >= target - IDENTITY_TOL)) / values.shape[0]
     row = CheckRow(target, prob, 0.0, prob > 0.0)
-    return prob, InequalityReport("lemma2", f"n={n}, terms={len(coeffs)}", (row,))
+    return prob, InequalityReport((row,))
 
 
 def verify_moment_comparison(coeffs, n: int, degree: int,
@@ -282,8 +293,7 @@ def verify_moment_comparison(coeffs, n: int, degree: int,
         rows.append(CheckRow(0.0, ratio, bound, ratio <= bound + IDENTITY_TOL))
         c = ratio
         rows.append(CheckRow(1.0, m2, c * c * m1, m2 <= c * c * m1 + IDENTITY_TOL))
-    return InequalityReport("moment_comparison", f"{kind} degree {degree}",
-                            tuple(rows))
+    return InequalityReport(tuple(rows))
 
 
 def mazur_orlicz_exhaustive(k_max: int = 6) -> bool:
@@ -303,10 +313,8 @@ def symmetrized_expansion_residual(kf: KernelFamily, s: np.ndarray,
     The symmetrized decoupled sum must equal the alternating sum over selector
     vectors delta of the pattern sums with copies restricted to supp(delta).
     """
-    from .ustat_engine import pattern_sum, symmetrized_decoupled_sum
-
     k = kf.k
-    lhs = np.asarray(symmetrized_decoupled_sum(kf, s), dtype=float)
+    lhs = np.asarray(ue.symmetrized_decoupled_sum(kf, s), dtype=float)
     rhs = np.zeros_like(lhs)
     for delta in itertools.product((0, 1), repeat=k):
         support = [r for r in range(k) if delta[r] == 1]
@@ -314,31 +322,23 @@ def symmetrized_expansion_residual(kf: KernelFamily, s: np.ndarray,
             continue
         sign = (-1) ** (k - len(support))
         for j in itertools.product(support, repeat=k):
-            rhs = rhs + sign * np.asarray(pattern_sum(kf, s, j), dtype=float)
+            rhs = rhs + sign * np.asarray(ue.pattern_sum(kf, s, j), dtype=float)
     return norm(lhs - rhs, norm_kind)
 
 
 # ---------------------------------------------------------------------------
-# corpus generation and the campaign driver
+# corpus generation and the campaign: one generator per check, one driver
 # ---------------------------------------------------------------------------
 
-ALL_CHECKS = ("identities", "mazur_orlicz", "distributional", "lemma1", "prop1",
-              "lemma2", "moments", "theorem1_upper", "theorem1_lower", "lemma3",
-              "mc_consistency")
-
 def named_distribution(name: str) -> DiscreteDistribution:
-    from . import value_space as vs
-
     if name == "rademacher":
-        return vs.rademacher()
-    if name.startswith("uniform"):
-        return vs.uniform(int(name[len("uniform"):]))
+        return rademacher()
+    if name.startswith("uniform") and name[len("uniform"):].isdigit():
+        return uniform(int(name[len("uniform"):]))
     raise ValidationError(f"unknown distribution name {name!r}")
 
 
 def build_kernel(cls: str, n: int, k: int, seed: int) -> KernelFamily:
-    from . import kernel as kmod
-
     if cls == "product":
         return kmod.product_kernel(k, n)
     if cls == "affine":
@@ -407,6 +407,180 @@ def draw_sample_matrix(rng, dist: DiscreteDistribution, n: int, copies: int):
     return dist.values_array()[idx]
 
 
+# Each check is a generator of Outcomes and Skips.  run_corpus passes each the
+# keywords cfg, rng, instances, law_of and symmetric, and runs the checks in
+# ALL_CHECKS order, so they draw from the shared rng in that order.
+
+@dataclass(frozen=True)
+class Outcome:
+    """One result of a campaign check, with the table rows behind it."""
+    instance: str
+    passed: bool
+    detail: dict = field(default_factory=dict)
+    n: int | None = None
+    k: int | None = None
+    l: int | None = None
+    rows: tuple = ()  # CheckRows
+    constant: float | None = None  # written on each of the rows
+
+
+@dataclass(frozen=True)
+class Skip:
+    """An instance a check left out because exact_law refused its law."""
+    instance: str
+    reason: str
+
+
+def _identities(cfg, rng, instances, **_):
+    for inst, dist, kf in instances:
+        n, k = kf.n, kf.k
+        if n > 6:
+            continue
+        copies = max(k, max(cfg.ls, default=1), 2)
+        s = draw_sample_matrix(rng, dist, n, copies)
+        worst = 0.0
+        signs = rz.all_sign_vectors(n)
+        for pattern in itertools.product((0, 1), repeat=k):
+            res = rz.expansion_residual_batch(kf, s[:, :2], signs, pattern)
+            worst = max(worst, float(np.max(res)))
+        worst = max(worst, rz.pattern_invariance_spread(kf, s[:, :2], cfg.norm_kind))
+        for l in cfg.ls:
+            if l > copies:
+                continue
+            ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
+            target = np.asarray(ue.mixed_sum(kf, s, l)) / float(l ** k)
+            worst = max(worst, norm(ce - target, cfg.norm_kind))
+        # not_all_equal_sum against the sum of its 2^k - 2 pattern sums
+        partition = np.asarray(ue.not_all_equal_sum(kf, s)) - sum(
+            np.asarray(ue.pattern_sum(kf, s, p))
+            for p in StatisticSpec(kf, "not_all_equal").patterns())
+        worst = max(worst, norm(partition, cfg.norm_kind))
+        yield Outcome(inst, worst <= cfg.identity_tol, {"max_residual": worst}, n, k)
+
+
+def _mazur_orlicz(cfg, rng, instances, **_):
+    yield Outcome("coefficient:k<=6", mazur_orlicz_exhaustive(6))
+    for inst, dist, kf in instances:
+        if not kf.symmetric_claimed or kf.k > 4:
+            continue
+        s = draw_sample_matrix(rng, dist, kf.n, kf.k)
+        res = symmetrized_expansion_residual(kf, s, cfg.norm_kind)
+        yield Outcome(inst, res <= cfg.identity_tol, {"residual": res}, kf.n, kf.k)
+
+
+def _distributional(cfg, **_):
+    for dist_name in cfg.distributions:
+        dist = named_distribution(dist_name)
+        for n in (2, 3):
+            if (dist.size ** (2 * n)) * (2 ** n) <= 2 ** 20:
+                ok = rz.distributional_equality_check(dist, n, "sign")
+                yield Outcome(f"{dist_name}:sign:n{n}", ok, n=n)
+            for l in cfg.ls:
+                if l < 2 or (dist.size ** (n * l)) * (l ** n) > 2 ** 20:
+                    continue
+                ok = rz.distributional_equality_check(dist, n, "selector", l)
+                yield Outcome(f"{dist_name}:selector:n{n}l{l}", ok, n=n, l=l)
+
+
+def _lemma1(cfg, rng, **_):
+    for i in range(cfg.law_count):
+        dim = 1 if i % 2 == 0 else 2
+        rep = verify_lemma1(random_law(rng, dim=dim), cfg.norm_kind)
+        yield Outcome(f"law{i}:dim{dim}", rep.passed, rows=rep.rows)
+
+
+def _prop1(cfg, rng, **_):
+    for i in range(cfg.law_count):
+        law = random_mean_zero_law(rng)
+        for a in (0.0, 0.5, 1.0, 2.5):
+            rep = verify_prop1(a, law)
+            yield Outcome(f"law{i}:a{a}", rep.passed, rows=rep.rows)
+
+
+def _lemma2(cfg, rng, **_):
+    for n, k in cfg.nk_pairs:
+        if k > 3 or n > 12:
+            continue
+        for i in range(5):
+            coeffs = random_chaos_coefficients(rng, n, k)
+            prob, rep = verify_lemma2(coeffs, float(rng.integers(1, 4)), n)
+            yield Outcome(f"n{n}k{k}i{i}", rep.passed, {"prob": prob}, n, k)
+
+
+def _moments(cfg, rng, **_):
+    for n, k in cfg.nk_pairs:
+        if k > 3 or n > 12:
+            continue
+        for i in range(3):
+            coeffs = random_chaos_coefficients(rng, n, k)
+            rep = verify_moment_comparison(coeffs, n, k, "rademacher")
+            yield Outcome(f"rademacher:n{n}k{k}i{i}", rep.passed, n=n, k=k, rows=rep.rows)
+    for l in cfg.ls:
+        if l < 2:
+            continue
+        n = 4
+        a = rng.integers(-3, 4, size=(n, l)).astype(float)
+        rep = verify_moment_comparison(a, n, 1, "centered-selector", l=l,
+                                       x0=float(rng.integers(0, 3)))
+        yield Outcome(f"selector:l{l}", rep.passed, n=n, l=l, rows=rep.rows)
+
+
+def _search(direction, cfg, instances, law_of, symmetric, **_):
+    """Closed-form constants of one direction; lemma3 also searches the mixed
+    sum divided by l^k, the scale of the selector conditional-expectation identity."""
+    for inst, dist, kf in instances:
+        if direction != "upper" and not kf.symmetric_claimed:
+            continue
+        for l in range(1, kf.k + 1) if direction == "lemma3" else (None,):
+            iid = inst if l is None else f"{inst}l{l}"
+            try:
+                left, right = _search_laws(kf, dist, direction, l, cfg.norm_kind,
+                                           law_of, symmetric)
+            except BudgetExceededError as e:
+                yield Skip(iid, str(e))
+                continue
+            res = minimal_constant(left, right, direction)
+            if l is None:
+                detail = {"c_min": res.c_min, "max_slack": res.max_slack}
+            else:
+                scaled = DiscreteLaw(left.values / l ** kf.k, left.probs)
+                detail = {"c_min": res.c_min, "c_min_scaled":
+                          minimal_constant(scaled, right, "lemma3_scaled").c_min}
+            rows = () if res.row is None else (res.row,)  # the row where c_min binds
+            yield Outcome(iid, res.feasible, {**detail, "binding": res.binding},
+                          kf.n, kf.k, l, rows, res.c_min)
+
+
+def _mc_consistency(cfg, instances, law_of, **_):
+    covered = total = 0
+    for i in range(0, len(instances), 3):
+        inst, dist, kf = instances[i]
+        spec = StatisticSpec(kf, "pattern", pattern=tuple(range(kf.k)),
+                             norm_kind=cfg.norm_kind)
+        try:
+            law = law_of(spec, dist)
+        except BudgetExceededError as e:
+            yield Skip(inst, str(e))
+            continue
+        grid = support_grid(law)
+        ests = mc_tail(spec, dist, grid, cfg.mc_trials, seed=cfg.seed + i)
+        for t, est in zip(grid, ests):
+            total += 1
+            covered += est.ci_low - 1e-12 <= tail(law, float(t)) <= est.ci_high + 1e-12
+    if total:
+        yield Outcome("corpus", covered / total >= 0.95,
+                      {"coverage": covered / total, "points": total})
+
+
+_SEARCHES = {"theorem1_upper": "upper", "theorem1_lower": "lower", "lemma3": "lemma3"}
+_CHECKS = {"identities": _identities, "mazur_orlicz": _mazur_orlicz,
+           "distributional": _distributional, "lemma1": _lemma1, "prop1": _prop1,
+           "lemma2": _lemma2, "moments": _moments,
+           **{check: functools.partial(_search, d) for check, d in _SEARCHES.items()},
+           "mc_consistency": _mc_consistency}
+ALL_CHECKS = tuple(_CHECKS)
+
+
 @dataclass
 class CorpusConfig:
     seed: int = 0
@@ -430,6 +604,11 @@ class CorpusConfig:
                 raise ValidationError(f"unknown check name {c!r}")
         if self.enum_budget <= 0 or self.mc_trials <= 0:
             raise ValidationError("budgets must be positive")
+        batch_norm(0.0, self.norm_kind, 1)  # each of these raises on an unknown name
+        for name in self.distributions:
+            named_distribution(name)
+        for cls in self.kernel_classes:
+            build_kernel(cls, 1, 1, seed=0)
 
 
 def _instances(cfg: CorpusConfig):
@@ -441,238 +620,64 @@ def _instances(cfg: CorpusConfig):
                 yield f"{dist_name}:{kf.label}:n{n}k{k}", dist, kf
 
 
-def run_corpus(cfg: CorpusConfig) -> dict:
-    """Execute the configured checks over the corpus; returns a JSON-ready dict,
-    with each check's wall seconds and exact laws computed under `checks`, each
-    instance left out for the enumeration budget under `summary.skipped`, and
-    each requested check that records no result under `summary.not_run`."""
-    from . import prob_engine as pe
-    from . import randomization as rz
-    from . import ustat_engine as ue
-
-    rng = np.random.default_rng(cfg.seed)
-    results = []
-    table = []
-    constants: dict = {}
-    lemma2_min: dict = {}
-    instances = list(_instances(cfg))  # built once, shared by every check
-    # each exact law once per (instance, statistic), each symmetry test once
-    law_of = functools.cache(lambda spec, dist: exact_law(spec, dist, cfg.enum_budget))
-    symmetric = functools.cache(check_symmetry)
-    checks: dict = {}
-    skipped = []  # instances left out for the enumeration budget, with the reason
-    since = [time.perf_counter(), 0]  # clock and exact-law count at the last result
-
-    def record(check, instance, passed, detail, n=None, k=None, l=None):
-        results.append({"check": check, "instance_id": instance,
-                        "n": n, "k": k, "l": l, "passed": bool(passed),
-                        "detail": detail})
-        # the work since the previous result counts toward this one's check
-        now, laws = time.perf_counter(), law_of.cache_info().currsize
-        spent = checks.setdefault(check, {"wall_s": 0.0, "exact_laws": 0})
-        spent["wall_s"] += now - since[0]
-        spent["exact_laws"] += laws - since[1]
-        since[:] = now, laws
-
-    def over_budget(check, instance, m, cells):
-        if m ** cells <= cfg.enum_budget:
-            return False
-        skipped.append({"check": check, "instance_id": instance, "reason":
-                        f"{m}^{cells} = {m ** cells} realizations exceeds "
-                        f"budget {cfg.enum_budget}"})
-        return True
-
-    def record_rows(check, instance, rows, n=None, k=None, l=None, constant=None):
-        for r in rows:
-            table.append({"check": check, "instance_id": instance, "n": n,
-                          "k": k, "l": l, "t": r.t, "lhs": r.lhs, "rhs": r.rhs,
-                          "constant": constant, "holds": bool(r.holds)})
-
-    def record_search(check, instance, res, detail, n, k, l=None):
-        record(check, instance, res.feasible,
-               {"c_min": res.c_min, **detail, "binding": res.binding}, n=n, k=k, l=l)
-        if res.row is not None:  # the row where the constant binds
-            record_rows(check, instance, (res.row,), n=n, k=k, l=l, constant=res.c_min)
-        keep_worst(res, k)
-
-    def keep_worst(res, k):
-        if res.feasible:
-            key = (res.direction, k)
-            constants[key] = max(constants.get(key, 1.0), res.c_min)
-
-    if "identities" in cfg.checks:
-        for inst, dist, kf in instances:
-            n, k = kf.n, kf.k
-            if n > 6:
-                continue
-            copies = max(k, max(cfg.ls, default=1), 2)
-            s = draw_sample_matrix(rng, dist, n, copies)
-            worst = 0.0
-            signs = rz.all_sign_vectors(n)
-            for pattern in itertools.product((0, 1), repeat=k):
-                res = rz.expansion_residual_batch(kf, s[:, :2], signs, pattern)
-                worst = max(worst, float(np.max(res)))
-            worst = max(worst, rz.pattern_invariance_spread(kf, s[:, :2],
-                                                            cfg.norm_kind))
-            for l in cfg.ls:
-                if l > copies:
-                    continue
-                ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
-                target = np.asarray(ue.mixed_sum(kf, s, l)) / float(l ** k)
-                worst = max(worst, norm(ce - target, cfg.norm_kind))
-            # not_all_equal_sum against the sum of its 2^k - 2 pattern sums
-            partition = np.asarray(ue.not_all_equal_sum(kf, s)) - sum(
-                np.asarray(ue.pattern_sum(kf, s, p))
-                for p in pe.StatisticSpec(kf, "not_all_equal").patterns())
-            worst = max(worst, norm(partition, cfg.norm_kind))
-            record("identities", inst, worst <= cfg.identity_tol,
-                   {"max_residual": worst}, n=n, k=k)
-
-    if "mazur_orlicz" in cfg.checks:
-        ok = mazur_orlicz_exhaustive(6)
-        record("mazur_orlicz", "coefficient:k<=6", ok, {})
-        for inst, dist, kf in instances:
-            if not kf.symmetric_claimed or kf.k > 4:
-                continue
-            s = draw_sample_matrix(rng, dist, kf.n, kf.k)
-            res = symmetrized_expansion_residual(kf, s, cfg.norm_kind)
-            record("mazur_orlicz", inst, res <= cfg.identity_tol,
-                   {"residual": res}, n=kf.n, k=kf.k)
-
-    if "distributional" in cfg.checks:
-        for dist_name in cfg.distributions:
-            dist = named_distribution(dist_name)
-            for n in (2, 3):
-                if (dist.size ** (2 * n)) * (2 ** n) <= 2 ** 20:
-                    ok = rz.distributional_equality_check(dist, n, "sign")
-                    record("distributional", f"{dist_name}:sign:n{n}", ok, {}, n=n)
-                for l in cfg.ls:
-                    if l < 2 or (dist.size ** (n * l)) * (l ** n) > 2 ** 20:
-                        continue
-                    ok = rz.distributional_equality_check(dist, n, "selector", l)
-                    record("distributional", f"{dist_name}:selector:n{n}l{l}",
-                           ok, {}, n=n, l=l)
-
-    if "lemma1" in cfg.checks:
-        for i in range(cfg.law_count):
-            dim = 1 if i % 2 == 0 else 2
-            law = random_law(rng, dim=dim)
-            rep = verify_lemma1(law, cfg.norm_kind)
-            record("lemma1", f"law{i}:dim{dim}", rep.passed, {})
-            record_rows("lemma1", f"law{i}:dim{dim}", rep.rows)
-
-    if "prop1" in cfg.checks:
-        for i in range(cfg.law_count):
-            law = random_mean_zero_law(rng)
-            for a in (0.0, 0.5, 1.0, 2.5):
-                rep = verify_prop1(a, law)
-                record("prop1", f"law{i}:a{a}", rep.passed, {})
-                record_rows("prop1", f"law{i}:a{a}", rep.rows)
-
-    if "lemma2" in cfg.checks:
-        for n, k in cfg.nk_pairs:
-            if k > 3 or n > 12:
-                continue
-            for i in range(5):
-                coeffs = random_chaos_coefficients(rng, n, k)
-                x = float(rng.integers(1, 4))
-                prob, rep = verify_lemma2(coeffs, x, n)
-                inst = f"n{n}k{k}i{i}"
-                record("lemma2", inst, rep.passed, {"prob": prob}, n=n, k=k)
-                lemma2_min[k] = min(lemma2_min.get(k, 1.0), prob)
-
-    if "moments" in cfg.checks:
-        for n, k in cfg.nk_pairs:
-            if k > 3 or n > 12:
-                continue
-            for i in range(3):
-                coeffs = random_chaos_coefficients(rng, n, k)
-                rep = verify_moment_comparison(coeffs, n, k, "rademacher")
-                record("moments", f"rademacher:n{n}k{k}i{i}", rep.passed, {},
-                       n=n, k=k)
-                record_rows("moments", f"rademacher:n{n}k{k}i{i}", rep.rows)
-        for l in cfg.ls:
-            if l < 2:
-                continue
-            n = 4
-            a = rng.integers(-3, 4, size=(n, l)).astype(float)
-            rep = verify_moment_comparison(a, n, 1, "centered-selector", l=l,
-                                           x0=float(rng.integers(0, 3)))
-            record("moments", f"selector:l{l}", rep.passed, {}, n=n, l=l)
-            record_rows("moments", f"selector:l{l}", rep.rows)
-
-    for direction, check in (("upper", "theorem1_upper"),
-                             ("lower", "theorem1_lower")):
-        if check not in cfg.checks:
-            continue
-        for inst, dist, kf in instances:
-            n, k = kf.n, kf.k
-            if direction == "lower" and not kf.symmetric_claimed:
-                continue
-            if over_budget(check, inst, dist.size, n * k):
-                continue
-            res = minimal_constant(*_search_laws(kf, dist, direction, None, cfg.norm_kind,
-                                                 law_of, symmetric), direction)
-            record_search(check, inst, res,
-                          {"max_slack": max(res.slack, default=0.0)}, n, k)
-
-    if "lemma3" in cfg.checks:
-        for inst, dist, kf in instances:
-            n, k = kf.n, kf.k
-            if not kf.symmetric_claimed:
-                continue
-            for l in range(1, k + 1):
-                if over_budget("lemma3", f"{inst}l{l}", dist.size, n * l):
-                    continue
-                mixed, coupled = _search_laws(kf, dist, "lemma3", l, cfg.norm_kind,
-                                              law_of, symmetric)
-                res = minimal_constant(mixed, coupled, "lemma3")
-                # the same search with the mixed sum divided by l^k, the scale
-                # of the selector conditional-expectation identity
-                scaled = minimal_constant(DiscreteLaw(mixed.values / l ** k, mixed.probs),
-                                          coupled, "lemma3_scaled")
-                record_search("lemma3", f"{inst}l{l}", res,
-                              {"c_min_scaled": scaled.c_min}, n, k, l)
-                keep_worst(scaled, k)
-
-    if "mc_consistency" in cfg.checks:
-        covered = 0
-        total = 0
-        for i in range(0, len(instances), 3):
-            inst, dist, kf = instances[i]
-            if over_budget("mc_consistency", inst, dist.size, kf.n * kf.k):
-                continue
-            spec = pe.StatisticSpec(kf, "pattern", pattern=tuple(range(kf.k)),
-                                    norm_kind=cfg.norm_kind)
-            law = law_of(spec, dist)
-            grid = pe.support_grid(law)
-            ests = pe.mc_tail(spec, dist, grid, cfg.mc_trials,
-                              seed=cfg.seed + i)
-            for t, est in zip(grid, ests):
-                exact = tail(law, float(t))
-                total += 1
-                if est.ci_low - 1e-12 <= exact <= est.ci_high + 1e-12:
-                    covered += 1
-        if total:
-            record("mc_consistency", "corpus", covered / total >= 0.95,
-                   {"coverage": covered / total, "points": total})
-
-    passed = sum(1 for r in results if r["passed"])
-    summary = {
-        "total": len(results),
-        "passed": passed,
-        "failed": len(results) - passed,
-        "empirical_constants": {f"{d}:k={k}": c
-                                for (d, k), c in sorted(constants.items())},
-        "lemma2_min_probability": {f"k={k}": p
-                                   for k, p in sorted(lemma2_min.items())},
-    }
+def _summary(cfg: CorpusConfig, results: list, skipped: list) -> dict:
+    """The summary, read from the recorded results and skips alone."""
+    constants, lemma2_min = {}, {}
+    for r in results:
+        detail, k = r["detail"], r["k"]
+        if r["check"] == "lemma2":
+            lemma2_min[k] = min(lemma2_min.get(k, 1.0), detail["prob"])
+        for key, c in (((_SEARCHES.get(r["check"]), k), detail.get("c_min")),
+                       (("lemma3_scaled", k), detail.get("c_min_scaled"))):
+            if c is not None and not math.isnan(c):  # NaN: no feasible constant
+                constants[key] = max(constants.get(key, 1.0), c)
+    passed = sum(r["passed"] for r in results)
+    summary = {"total": len(results), "passed": passed, "failed": len(results) - passed,
+               "empirical_constants": {f"{d}:k={k}": c
+                                       for (d, k), c in sorted(constants.items())},
+               "lemma2_min_probability": {f"k={k}": p
+                                          for k, p in sorted(lemma2_min.items())}}
     if skipped:  # only then, like not_run, so a report with none keeps its bytes
         summary["skipped"] = skipped
+    ran = {r["check"] for r in results}
     budget_hit = {s["check"] for s in skipped}
     not_run = {c: NOT_RUN_BUDGET if c in budget_hit else NOT_RUN_CONFIG
-               for c in cfg.checks if c not in checks}  # checks that recorded a result
+               for c in cfg.checks if c not in ran}
     if not_run:  # only then, so a report where every check ran keeps its bytes
         summary["not_run"] = not_run
-    return {"results": results, "summary": summary, "table": table,
-            "checks": checks}
+    return summary
+
+
+def run_corpus(cfg: CorpusConfig) -> dict:
+    """Run each configured check's generator, in ALL_CHECKS order, and record
+    what it yields; returns a JSON-ready dict.
+
+    Each result goes to `results` and its rows to `table`, each skip to
+    `summary.skipped`; `checks` holds every requested check's wall seconds and
+    exact laws computed, measured around that check alone.
+    """
+    # each exact law once per (instance, statistic), each symmetry test once
+    law_of = functools.cache(functools.partial(exact_law, budget=cfg.enum_budget))
+    context = {"cfg": cfg, "rng": np.random.default_rng(cfg.seed),
+               "instances": list(_instances(cfg)),  # built once, shared by every check
+               "law_of": law_of, "symmetric": functools.cache(check_symmetry)}
+    results, table, skipped, checks = [], [], [], {}
+    for check, generate in _CHECKS.items():
+        if check not in cfg.checks:
+            continue
+        start, laws = time.perf_counter(), law_of.cache_info().currsize
+        for out in generate(**context):
+            if isinstance(out, Skip):
+                skipped.append({"check": check, "instance_id": out.instance,
+                                "reason": out.reason})
+                continue
+            where = {"check": check, "instance_id": out.instance,
+                     "n": out.n, "k": out.k, "l": out.l}
+            results.append({**where, "passed": bool(out.passed), "detail": out.detail})
+            table.extend({**where, "t": r.t, "lhs": r.lhs, "rhs": r.rhs,
+                          "constant": out.constant, "holds": bool(r.holds)}
+                         for r in out.rows)
+        checks[check] = {"wall_s": time.perf_counter() - start,
+                         "exact_laws": law_of.cache_info().currsize - laws}
+    return {"results": results, "summary": _summary(cfg, results, skipped),
+            "table": table, "checks": checks}

@@ -155,6 +155,42 @@ def test_cli_check_emptied_by_config_exits_2(tmp_path, capsys):
     assert summary["not_run"] == {"identities": verifier.NOT_RUN_CONFIG}
 
 
+def test_meta_times_every_requested_check():
+    # a check that yields nothing still gets its timing entry, and not_run is
+    # read from the results, not from meta
+    cfg, _ = parse_config(json.dumps({"corpus": {"nk_pairs": [[7, 2]]},
+                                      "checks": ["identities", "lemma1"]}))
+    report, code = run(cfg)
+    assert code == 2
+    checks = report["meta"]["checks"]
+    assert set(checks) == {"identities", "lemma1"}
+    assert checks["identities"]["exact_laws"] == 0 and checks["identities"]["wall_s"] >= 0
+    assert report["summary"]["not_run"] == {"identities": verifier.NOT_RUN_CONFIG}
+
+
+@pytest.mark.parametrize("corpus, field", [
+    ({"norm": "bogus", "law_count": 2}, "norm"),
+    ({"distributions": ["uniformx"]}, "distribution"),
+    ({"kernel_classes": ["bogus"]}, "kernel class"),
+])
+def test_cli_unknown_corpus_name_exits_2_before_any_check(tmp_path, capsys, corpus,
+                                                           field):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"corpus": corpus, "checks": ["prop1", "lemma2"]}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "configuration error" in captured.err and field in captured.err
+
+
+def test_corpus_config_rejects_unknown_names():
+    for kwargs in ({"norm_kind": "bogus"}, {"distributions": ("uniform",)},
+                   {"kernel_classes": ("bogus",)}):
+        with pytest.raises(ValidationError):
+            verifier.CorpusConfig(**kwargs)
+
+
 def test_cli_check_emptied_by_budget_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**SMALL_CONFIG, "checks": [

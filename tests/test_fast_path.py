@@ -119,8 +119,9 @@ def test_randomization_helpers_fast_equals_generic(name):
         s = rng.normal(size=(n, 3))
         signs = rz.all_sign_vectors(n)
         for pattern in [(0,) * k, (1,) + (0,) * (k - 1)]:
-            _close(rz._pattern_sum_under_signs(fast, s[:, :2], signs, pattern),
-                   rz._pattern_sum_under_signs(generic, s[:, :2], signs, pattern))
+            coupled = rz.sign_couple(s[:, :2], signs)  # every sign vector at once
+            _close(ustat_engine.statistic(fast, coupled, "pattern", pattern),
+                   ustat_engine.statistic(generic, coupled, "pattern", pattern))
             _close(rz.sign_conditional_expectation(fast, s[:, :2], pattern),
                    rz.sign_conditional_expectation(generic, s[:, :2], pattern))
             for kf in (fast, generic):

@@ -137,6 +137,28 @@ def test_sign_and_selector_couple_batched():
                                   [selector_couple(x, [1, 0, 1]) for x in s])
 
 
+def test_couplings_accept_a_batch_of_vectors():
+    rng = np.random.default_rng(9)
+    s = rng.normal(size=(3, 2))
+    signs = all_sign_vectors(3).reshape(2, 4, 3)
+    np.testing.assert_array_equal(
+        sign_couple(s, signs),
+        np.stack([sign_couple(s, v) for v in signs.reshape(8, 3)]).reshape(2, 4, 3, 2))
+    s = rng.normal(size=(3, 4))
+    choices = rng.integers(0, 4, size=(5, 3))
+    np.testing.assert_array_equal(selector_couple(s, choices),
+                                  np.stack([selector_couple(s, c) for c in choices]))
+    # the batch axes of sample matrices and of sign vectors broadcast together
+    pairs = rng.normal(size=(4, 3, 2))
+    np.testing.assert_array_equal(sign_couple(pairs, signs[1]),
+                                  np.stack([sign_couple(x, v)
+                                            for x, v in zip(pairs, signs[1])]))
+    with pytest.raises(ValidationError):
+        selector_couple(s, choices[:, :2])
+    with pytest.raises(ValidationError):
+        sign_couple(s[:, :2], signs[..., :2])
+
+
 def test_distributional_equality_detects_wrong_coupling(monkeypatch):
     # Swapping any fixed set of rows keeps the law, so swapping only row 0 passes.
     original = rz.sign_couple

@@ -189,6 +189,44 @@ def test_run_corpus_small():
     assert rep["summary"]["total"] > 0
 
 
+def test_run_corpus_table_rows_carry_their_results_n_k_l():
+    cfg = CorpusConfig(nk_pairs=((3, 2), (4, 3)), distributions=("rademacher",),
+                       kernel_classes=("product", "sym-coeff"), ls=(1, 2),
+                       checks=("lemma1", "prop1", "moments", "theorem1_upper",
+                               "lemma3"),
+                       law_count=2)
+    rep = run_corpus(cfg)
+    where = {(r["check"], r["instance_id"]): (r["n"], r["k"], r["l"])
+             for r in rep["results"]}
+    assert {row["check"] for row in rep["table"]} == set(cfg.checks)
+    for row in rep["table"]:
+        assert (row["n"], row["k"], row["l"]) == where[row["check"], row["instance_id"]]
+    assert any(row["check"] == "moments" and row["l"] == 2 for row in rep["table"])
+
+
+@pytest.mark.parametrize("budget", [16, 64])
+def test_run_corpus_skip_reasons_name_the_larger_law(budget):
+    # each skipped search or mc_consistency instance names m^(n * copies) of the
+    # law with more copies: n * k for theorem1 and mc_consistency, n * l for lemma3
+    cfg = CorpusConfig(enum_budget=budget, mc_trials=500,
+                       checks=("theorem1_upper", "theorem1_lower", "lemma3",
+                               "mc_consistency"))
+    rep = run_corpus(cfg)
+    skipped = rep["summary"]["skipped"]
+    assert {s["check"] for s in skipped} == set(cfg.checks)
+    for s in skipped:
+        dist, _, shape = s["instance_id"].split(":")
+        m = 2 if dist == "rademacher" else int(dist[len("uniform"):])
+        n, k = int(shape[1]), int(shape[3])
+        cells = n * int(shape[5]) if s["check"] == "lemma3" else n * k
+        assert s["reason"] == (f"{m}^{cells} = {m ** cells} realizations exceeds "
+                               f"budget {budget}"), s
+    upper = {s["instance_id"]: s["reason"] for s in skipped
+             if s["check"] == "theorem1_upper"}
+    assert upper["uniform3:product:n3k2"] == (
+        f"3^6 = 729 realizations exceeds budget {budget}")
+
+
 def _reference_slack(law_l, law_r, c):
     # per-threshold masked tail sums on a dense grid: every positive support
     # point of both laws and every c * w, the points just above and below
@@ -264,10 +302,11 @@ def test_minimal_constant_edge_cases():
     # a left law with no positive point needs no constant above 1
     res = minimal_constant(_law({0.0: 1.0}), _law({0.0: 0.5, 1.0: 0.5}), "upper")
     assert res.feasible and res.c_min == 1.0 and res.binding is None
-    assert res.row is None and res.slack == ()
+    assert res.row is None and res.max_slack == 0.0
     # a right law with no positive point can dominate no positive left tail
     res = minimal_constant(_law({0.0: 0.5, 1.0: 0.5}), _law({0.0: 1.0}), "upper")
     assert not res.feasible and np.isnan(res.c_min) and res.binding is None
+    assert res.max_slack == 0.0
     # the closed form gives 1e7 here, above the ceiling of 2^20
     right = _law({0.0: 1 - 1e-7, 1.0: 1e-7})
     assert tails_dominated(_law({1.0: 1.0}), right, 1e7)
