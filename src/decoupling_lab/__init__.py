@@ -6,10 +6,9 @@ from .value_space import (DiscreteDistribution, make_distribution, norm,
                           rademacher, uniform)
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient, symmetrize)
-from .ustat_engine import (mixed_sum, not_all_equal_sum, pattern_sum,
-                           symmetrized_decoupled_sum)
-from .prob_engine import (DiscreteLaw, StatisticSpec, exact_law, kappa, mc_tail,
-                          moment, tail)
+from .ustat_engine import (StatisticSpec, mixed_sum, not_all_equal_sum,
+                           pattern_sum, symmetrized_decoupled_sum)
+from .prob_engine import DiscreteLaw, exact_law, kappa, mc_tail, moment, tail
 from .verifier import (ConstantSearchResult, CorpusConfig, InequalityReport,
                        run_corpus, search_constant, verify_lemma1, verify_lemma2,
                        verify_moment_comparison, verify_prop1)

@@ -25,8 +25,8 @@ import time
 
 from . import __version__
 from .errors import BudgetExceededError, ValidationError
-from .kernel import KernelFamily
-from .prob_engine import StatisticSpec, exact_law
+from .prob_engine import exact_law
+from .ustat_engine import StatisticSpec
 from .value_space import DEFAULT_ENUM_BUDGET
 from .verifier import (NOT_RUN_BUDGET, CorpusConfig, build_kernel,
                        named_distribution, run_corpus)
@@ -79,7 +79,15 @@ def parse_config(text: str) -> tuple[CorpusConfig, str | None]:
         unknown = set(given) - set(fields)
         if unknown:
             raise ValidationError(f"{section}: unknown field(s): {sorted(unknown)}")
-        kwargs.update((fields[key][0], fields[key][1](v)) for key, v in given.items())
+        for key, value in given.items():
+            name, convert = fields[key]
+            try:
+                converted = convert(value)
+            except (TypeError, ValueError, LookupError):
+                converted = None
+            if converted is None or _listed(converted) != value:  # failed or changed it
+                raise ValidationError(f"{section}.{key}: invalid value {value!r}")
+            kwargs[name] = converted
     if "checks" in raw:
         kwargs["checks"] = tuple(_CHECK_ALIASES.get(c, c) for c in raw["checks"])
     return CorpusConfig(**kwargs), raw.get("output")
@@ -180,15 +188,9 @@ def _cmd_campaign(args, fixed_checks=None) -> int:
 
 def _cmd_oracle(args) -> int:
     dist = named_distribution(args.dist)
-    kf: KernelFamily = build_kernel(args.kernel, args.n, args.k,
-                                    seed=args.seed or 0)
-    if args.mode == "pattern":
-        spec = StatisticSpec(kf, "pattern", pattern=tuple(range(args.k)),
-                             norm_kind=args.norm)
-    elif args.mode == "mixed":
-        spec = StatisticSpec(kf, "mixed", l=args.l, norm_kind=args.norm)
-    else:
-        spec = StatisticSpec(kf, args.mode, norm_kind=args.norm)
+    kf = build_kernel(args.kernel, args.n, args.k, seed=args.seed or 0)
+    spec = StatisticSpec(kf, args.mode, pattern=tuple(range(args.k)), l=args.l,
+                         norm_kind=args.norm)
     law = exact_law(spec, dist, args.budget or DEFAULT_ENUM_BUDGET)
     payload = {"values": law.values.tolist(), "probs": law.probs.tolist()}
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -1,6 +1,8 @@
 """Exact and Monte Carlo laws of U-statistic norms.
 
-Exact laws by column-grid contraction; mixed laws on per-row count vectors.
+A statistic is a `ustat_engine.StatisticSpec`, which names, validates and
+evaluates it; this module computes the law of its norm.  Exact laws by
+column-grid contraction; mixed laws on per-row count vectors.
 Either way the law covers every sample-matrix realization exactly.  Monte
 Carlo tails use a counter-based (Philox) generator so that identical
 (seed, spec) inputs give bit-identical output regardless of scheduling.
@@ -13,13 +15,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .kernel import KernelFamily, _cell_tensor
-from .ustat_engine import _contract, statistic
+from .kernel import _cell_tensor
+from .ustat_engine import StatisticSpec, _contract
 from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm
 
 _VALUE_DECIMALS = 12  # aggregation resolution for norm values
@@ -76,68 +77,11 @@ def moment(law: DiscreteLaw, p: int) -> float:
     return float(np.dot(law.probs, np.abs(law.values) ** p) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class StatisticSpec:
-    """One of the sums whose norm tail the theorems compare.
-
-    mode: 'coupled', 'pattern' (with `pattern`), 'mixed' (with `l`),
-    'not_all_equal', or 'symmetrized'.
-    """
-
-    kernel: KernelFamily
-    mode: str
-    pattern: Optional[tuple] = None
-    l: Optional[int] = None
-    norm_kind: str = "euclidean"
-
-    def __post_init__(self):
-        k = self.kernel.k
-        if self.mode == "pattern":
-            if self.pattern is None or len(self.pattern) != k:
-                raise ValidationError("pattern mode needs a pattern of length k")
-        elif self.mode == "mixed":
-            if self.l is None or self.l < 1:
-                raise ValidationError("mixed mode needs l >= 1")
-        elif self.mode not in ("coupled", "not_all_equal", "symmetrized"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-
-    @property
-    def copies_needed(self) -> int:
-        k = self.kernel.k
-        if self.mode == "coupled":
-            return 1
-        if self.mode == "pattern":
-            return max(self.pattern) + 1
-        if self.mode == "mixed":
-            return self.l
-        if self.mode == "not_all_equal":
-            return 2
-        return k  # symmetrized
-
-    def patterns(self):
-        """Copy patterns whose pattern sums add up to the statistic."""
-        k = self.kernel.k
-        if self.mode == "coupled":
-            return [(0,) * k]
-        if self.mode == "pattern":
-            return [tuple(self.pattern)]
-        if self.mode == "mixed":
-            return list(itertools.product(range(self.l), repeat=k))
-        if self.mode == "not_all_equal":
-            return [p for p in itertools.product((0, 1), repeat=k) if len(set(p)) > 1]
-        return list(itertools.permutations(range(k)))
-
-
 def evaluate_norms(spec: StatisticSpec, samples: np.ndarray) -> np.ndarray:
     """Statistic norms for a batch of sample matrices of shape (B, n, copies)."""
-    kf = spec.kernel
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3:
+    if np.ndim(samples) != 3:
         raise ValidationError("expected batch of sample matrices (B, n, copies)")
-    if samples.shape[2] < spec.copies_needed:
-        raise ValidationError("not enough copies for this statistic")
-    total = statistic(kf, samples, spec.mode, spec.pattern, spec.l)
-    return batch_norm(total, spec.norm_kind, kf.dim)
+    return batch_norm(spec(samples), spec.norm_kind, spec.kernel.dim)
 
 
 def _count_vectors(probs: np.ndarray, l: int):
@@ -207,8 +151,6 @@ class TailEstimate:
     p_hat: float
     ci_low: float
     ci_high: float
-    trials: int
-    seed: int
 
     def __post_init__(self):
         if not (self.ci_low <= self.p_hat <= self.ci_high):
@@ -254,7 +196,7 @@ def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,
     for t in t_grid:
         hits = int(np.count_nonzero(norms >= t))
         lo, hi = clopper_pearson(hits, trials)
-        out.append(TailEstimate(float(t), hits / trials, lo, hi, trials, seed))
+        out.append(TailEstimate(float(t), hits / trials, lo, hi))
     return out
 
 

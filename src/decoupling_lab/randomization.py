@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .kernel import KernelFamily
-from .ustat_engine import mixed_sum, slot_sum, statistic
+from .ustat_engine import StatisticSpec, mixed_sum, slot_sum
 from .value_space import DiscreteDistribution, batch_norm, norm
 
 DEFAULT_RANDOMIZATION_BUDGET = 2 ** 24
@@ -71,12 +71,11 @@ def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
     """
     s = np.asarray(s, dtype=float)
     signs = np.asarray(signs, dtype=np.int64)
-    pattern = tuple(int(p) for p in pattern)
-    k = kf.k
-    lhs = (2.0 ** k) * statistic(kf, sign_couple(s, signs), "pattern", pattern)
+    spec = StatisticSpec(kf, "pattern", pattern)
+    lhs = (2.0 ** kf.k) * spec(sign_couple(s, signs))
     rhs = 0.0
-    for j in itertools.product((0, 1), repeat=k):
-        weights = [1 + signs if j[r] == pattern[r] else 1 - signs for r in range(k)]
+    for j in itertools.product((0, 1), repeat=kf.k):
+        weights = [1 + signs if a == b else 1 - signs for a, b in zip(j, spec.pattern)]
         rhs = rhs + slot_sum(kf, s, [(c,) for c in j], weights)
     return batch_norm(lhs - rhs, "euclidean", kf.dim)
 
@@ -92,8 +91,7 @@ def sign_conditional_expectation(kf: KernelFamily, s: np.ndarray, pattern):
         raise BudgetExceededError(
             f"2^{n} sign vectors exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")
     coupled = sign_couple(s, all_sign_vectors(n))  # (2^n, n, 2)
-    values = statistic(kf, coupled, "pattern", tuple(int(p) for p in pattern))
-    return np.mean(values, axis=0)
+    return np.mean(StatisticSpec(kf, "pattern", pattern)(coupled), axis=0)
 
 
 def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int):
@@ -101,16 +99,13 @@ def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int):
 
     Equals (1/l)^k times the l-copy mixed sum.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape[1] < l:
-        raise ValidationError("sample has fewer columns than l")
+    s = np.asarray(s, dtype=float)  # selector_couple checks it has l columns
     n = s.shape[0]
     if l ** n > DEFAULT_RANDOMIZATION_BUDGET:
         raise BudgetExceededError(
             f"{l}^{n} selector matrices exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")
     z = selector_couple(s, all_choice_vectors(n, l))  # (l^n, n) coupled rows
-    values = statistic(kf, z[..., None], "coupled")
-    return np.mean(values, axis=0)
+    return np.mean(StatisticSpec(kf, "coupled")(z[..., None]), axis=0)
 
 
 def _law_of(atom_idx: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:

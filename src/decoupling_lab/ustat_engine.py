@@ -5,38 +5,27 @@ the realization of the j-th independent copy of the i-th variable.  A leading
 batch axis is allowed everywhere, so the same code paths serve single
 realizations and vectorized Monte Carlo / enumeration sweeps.
 
-Every sum goes through one core, `slot_sum`.  A kernel that carries a
-coefficient tensor is summed by one tensor contraction (fast path).  Any other
-kernel is called once per copy pattern and index tuple, in lexicographic
-order, and the terms are accumulated in place (generic path).
+Each statistic is defined once, by a `StatisticSpec`: validated when built,
+summed when called on samples; the public sums are spec calls.  Every sum goes
+through one core, `slot_sum`.  A kernel that carries a coefficient tensor is
+summed by one tensor contraction (fast path).  Any other kernel is called once
+per copy pattern and index tuple, in lexicographic order, and the terms are
+accumulated in place (generic path).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .kernel import (FACTORIAL_BUDGET, MAX_TUPLE_COUNT, KernelFamily,
                      distinct_mask, distinct_tuples)
-
-
-def _check_sample(kf: KernelFamily, s: np.ndarray, copies_needed: int) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.ndim < 2:
-        raise ValidationError("sample matrix must have shape (..., n, copies)")
-    if s.shape[-2] != kf.n:
-        raise ValidationError(f"sample has {s.shape[-2]} rows, kernel expects n={kf.n}")
-    if s.shape[-1] < copies_needed:
-        raise ValidationError(
-            f"sample has {s.shape[-1]} copies, statistic needs {copies_needed}")
-    if kf.k > kf.n:
-        raise ValidationError("kernel order k exceeds n")
-    if math.perm(kf.n, kf.k) > MAX_TUPLE_COUNT:
-        raise BudgetExceededError("distinct tuple count exceeds evaluation ceiling")
-    return s
 
 
 def _contract(tensor: np.ndarray, cols) -> np.ndarray:
@@ -56,7 +45,7 @@ def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray
     where w(idx) is the product of weights[r][..., idx_r] (1 without weights).
 
     `s` has shape (..., n, copies) and each weights[r] shape (..., n).  Inputs
-    are not validated; the public sums below do that.
+    are not validated; calling a StatisticSpec does that.
     """
     k = kf.k
     if kf.coeffs is not None:
@@ -79,21 +68,89 @@ def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray
     return acc
 
 
-def statistic(kf: KernelFamily, s: np.ndarray, mode: str, pattern=None,
-              l: int | None = None) -> np.ndarray:
-    """Unvalidated sum of one StatisticSpec mode on samples of shape (..., n, copies)."""
-    k = kf.k
-    if mode == "coupled":
-        return slot_sum(kf, s, [(0,)] * k)
-    if mode == "pattern":
-        return slot_sum(kf, s, [(p,) for p in pattern])
-    if mode == "mixed":
-        return slot_sum(kf, s, [range(l)] * k)
-    if mode == "not_all_equal":
-        return (slot_sum(kf, s, [range(2)] * k)
-                - slot_sum(kf, s, [(0,)] * k) - slot_sum(kf, s, [(1,)] * k))
-    return sum(slot_sum(kf, s, [(p,) for p in pi])  # symmetrized: k! patterns
-               for pi in itertools.permutations(range(k)))
+@dataclass(frozen=True)
+class StatisticSpec:
+    """One of the sums whose norm tail the theorems compare, validated when built.
+
+    mode: 'coupled', 'pattern' (with `pattern`, k copy indices), 'mixed' (with
+    `l`), 'not_all_equal', or 'symmetrized'; a mode reads only its own fields.
+    Calling the spec on samples of shape (..., n, copies) returns the sum.
+    """
+
+    kernel: KernelFamily
+    mode: str
+    pattern: Optional[tuple] = None
+    l: Optional[int] = None
+    norm_kind: str = "euclidean"
+
+    def __post_init__(self):
+        k = self.kernel.k
+        if self.mode == "pattern":
+            if self.pattern is None or len(self.pattern) != k:
+                raise ValidationError("pattern mode needs a pattern of length k")
+            object.__setattr__(self, "pattern", tuple(
+                _whole(p, "pattern entry", 0) for p in self.pattern))
+        elif self.mode == "mixed":
+            object.__setattr__(self, "l", _whole(self.l, "mixed mode l", 1))
+        elif self.mode == "symmetrized":
+            if k > FACTORIAL_BUDGET:
+                raise BudgetExceededError(f"k={k} exceeds factorial budget")
+        elif self.mode not in ("coupled", "not_all_equal"):
+            raise ValidationError(f"unknown mode {self.mode!r}")
+
+    @property
+    def copies_needed(self) -> int:
+        if self.mode == "pattern":
+            return max(self.pattern) + 1
+        return {"coupled": 1, "mixed": self.l, "not_all_equal": 2,
+                "symmetrized": self.kernel.k}[self.mode]
+
+    def patterns(self):
+        """Copy patterns whose pattern sums add up to the statistic."""
+        k = self.kernel.k
+        if self.mode == "coupled":
+            return [(0,) * k]
+        if self.mode == "pattern":
+            return [self.pattern]
+        if self.mode == "mixed":
+            return list(itertools.product(range(self.l), repeat=k))
+        if self.mode == "not_all_equal":
+            return [p for p in itertools.product((0, 1), repeat=k) if len(set(p)) > 1]
+        return list(itertools.permutations(range(k)))
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        """The sum on samples of shape (..., n, copies), one per leading index."""
+        kf, k = self.kernel, self.kernel.k
+        s = np.asarray(s, dtype=float)
+        if s.ndim < 2:
+            raise ValidationError("sample matrix must have shape (..., n, copies)")
+        if s.shape[-2] != kf.n:
+            raise ValidationError(
+                f"sample has {s.shape[-2]} rows, kernel expects n={kf.n}")
+        if s.shape[-1] < self.copies_needed:
+            raise ValidationError(
+                f"sample has {s.shape[-1]} copies, statistic needs {self.copies_needed}")
+        if k > kf.n:
+            raise ValidationError("kernel order k exceeds n")
+        if math.perm(kf.n, k) > MAX_TUPLE_COUNT:
+            raise BudgetExceededError("distinct tuple count exceeds evaluation ceiling")
+        if self.mode == "coupled":
+            return slot_sum(kf, s, [(0,)] * k)
+        if self.mode == "pattern":
+            return slot_sum(kf, s, [(p,) for p in self.pattern])
+        if self.mode == "mixed":
+            return slot_sum(kf, s, [range(self.l)] * k)
+        if self.mode == "not_all_equal":
+            return (slot_sum(kf, s, [range(2)] * k)
+                    - slot_sum(kf, s, [(0,)] * k) - slot_sum(kf, s, [(1,)] * k))
+        return sum(slot_sum(kf, s, [(p,) for p in pi])  # symmetrized: k! patterns
+                   for pi in itertools.permutations(range(k)))
+
+
+def _whole(value, name: str, least: int) -> int:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def pattern_sum(kf: KernelFamily, s: np.ndarray, pattern) -> np.ndarray:
@@ -102,27 +159,19 @@ def pattern_sum(kf: KernelFamily, s: np.ndarray, pattern) -> np.ndarray:
     Pattern (0,...,0) is the coupled statistic; (0,1,...,k-1) the fully
     decoupled one.
     """
-    pattern = tuple(int(p) for p in pattern)
-    if len(pattern) != kf.k:
-        raise ValidationError("pattern length must equal kernel order")
-    s = _check_sample(kf, s, max(pattern) + 1)
-    return statistic(kf, s, "pattern", pattern)
+    return StatisticSpec(kf, "pattern", pattern)(s)
 
 
 def mixed_sum(kf: KernelFamily, s: np.ndarray, l: int) -> np.ndarray:
     """Sum over all distinct tuples and all l^k copy patterns."""
-    if l < 1:
-        raise ValidationError("l must be >= 1")
-    return statistic(kf, _check_sample(kf, s, l), "mixed", l=l)
+    return StatisticSpec(kf, "mixed", l=l)(s)
 
 
 def not_all_equal_sum(kf: KernelFamily, s: np.ndarray) -> np.ndarray:
     """Two-copy mixed sum minus the two all-equal pattern sums."""
-    return statistic(kf, _check_sample(kf, s, 2), "not_all_equal")
+    return StatisticSpec(kf, "not_all_equal")(s)
 
 
 def symmetrized_decoupled_sum(kf: KernelFamily, s: np.ndarray) -> np.ndarray:
     """Sum over all distinct tuples and all k! permutation copy patterns."""
-    if kf.k > FACTORIAL_BUDGET:
-        raise BudgetExceededError(f"k={kf.k} exceeds factorial budget")
-    return statistic(kf, _check_sample(kf, s, kf.k), "symmetrized")
+    return StatisticSpec(kf, "symmetrized")(s)

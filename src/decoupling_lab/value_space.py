@@ -80,9 +80,6 @@ class DiscreteDistribution:
     def probs_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def mean(self) -> float:
-        return float(np.dot(self.values_array(), self.probs_array()))
-
 
 def make_distribution(atoms) -> DiscreteDistribution:
     """Build a validated distribution from (value, prob) pairs."""

@@ -29,9 +29,10 @@ from . import kernel as kmod, randomization as rz, ustat_engine as ue
 from .errors import BudgetExceededError, SymmetryError, ValidationError
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient)
-from .prob_engine import (DiscreteLaw, StatisticSpec, aggregate_law, exact_law,
-                          kappa, mc_tail, moment, support_grid, tail)
+from .prob_engine import (DiscreteLaw, aggregate_law, exact_law, kappa, mc_tail,
+                          moment, support_grid, tail)
 from .randomization import all_sign_vectors, all_choice_vectors
+from .ustat_engine import StatisticSpec
 from .value_space import (DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm,
                           rademacher, uniform)
 
@@ -39,6 +40,7 @@ IDENTITY_TOL = 1e-12
 # Larger constants count as infeasible: without a ceiling almost every theorem1
 # and lemma3 instance would pass, since a finite constant nearly always exists.
 C_CEILING = float(2 ** 20)
+DISTRIBUTIONAL_BUDGET = 2 ** 20  # joint assignments one distributional check may list
 NOT_RUN_BUDGET = "every instance exceeds the enumeration budget"
 NOT_RUN_CONFIG = "no instance of the configured corpus applies"
 
@@ -62,7 +64,6 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class ConstantSearchResult:
-    direction: str
     c_min: float
     feasible: bool
     # max of lhs_tail(t) - c_min * rhs_tail(t / c_min) over the positive left
@@ -102,8 +103,7 @@ def tails_dominated(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float) -> bool:
     return bool(np.max(slack, initial=-np.inf) <= IDENTITY_TOL)
 
 
-def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw,
-                     direction: str) -> ConstantSearchResult:
+def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchResult:
     """Smallest c >= 1 with lhs_tail(t) <= c * rhs_tail(t/c) for every t > 0.
 
     At a positive left support point v with a = lhs_tail(v), a constant c
@@ -132,9 +132,9 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw,
             row = CheckRow(float(v[i]), float(a[i]), rhs,
                            bool(a[i] <= rhs + IDENTITY_TOL))
     if not (c_min <= C_CEILING and tails_dominated(law_l, law_r, c_min)):
-        return ConstantSearchResult(direction, math.nan, False, 0.0)
+        return ConstantSearchResult(math.nan, False, 0.0)
     _, slack = _max_slack(law_l, law_r, c_min)
-    return ConstantSearchResult(direction, c_min, True, max(slack.tolist(), default=0.0),
+    return ConstantSearchResult(c_min, True, max(slack.tolist(), default=0.0),
                                 binding, row)
 
 
@@ -177,7 +177,7 @@ def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str
     """
     laws = _search_laws(kf, dist, direction, l, norm_kind,
                         lambda spec, d: exact_law(spec, d, budget), check_symmetry)
-    return minimal_constant(*laws, direction)
+    return minimal_constant(*laws)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +472,17 @@ def _distributional(cfg, **_):
     for dist_name in cfg.distributions:
         dist = named_distribution(dist_name)
         for n in (2, 3):
-            if (dist.size ** (2 * n)) * (2 ** n) <= 2 ** 20:
-                ok = rz.distributional_equality_check(dist, n, "sign")
-                yield Outcome(f"{dist_name}:sign:n{n}", ok, n=n)
-            for l in cfg.ls:
-                if l < 2 or (dist.size ** (n * l)) * (l ** n) > 2 ** 20:
+            runs = [(f"{dist_name}:sign:n{n}", "sign", None)] + [
+                (f"{dist_name}:selector:n{n}l{l}", "selector", l)
+                for l in cfg.ls if l >= 2]
+            for iid, coupling, l in runs:
+                try:  # the sign coupling has two columns whatever l is
+                    ok = rz.distributional_equality_check(
+                        dist, n, coupling, l or 2, budget=DISTRIBUTIONAL_BUDGET)
+                except BudgetExceededError as e:
+                    yield Skip(iid, str(e))
                     continue
-                ok = rz.distributional_equality_check(dist, n, "selector", l)
-                yield Outcome(f"{dist_name}:selector:n{n}l{l}", ok, n=n, l=l)
+                yield Outcome(iid, ok, n=n, l=l)
 
 
 def _lemma1(cfg, rng, **_):
@@ -539,13 +542,13 @@ def _search(direction, cfg, instances, law_of, symmetric, **_):
             except BudgetExceededError as e:
                 yield Skip(iid, str(e))
                 continue
-            res = minimal_constant(left, right, direction)
+            res = minimal_constant(left, right)
             if l is None:
                 detail = {"c_min": res.c_min, "max_slack": res.max_slack}
             else:
                 scaled = DiscreteLaw(left.values / l ** kf.k, left.probs)
                 detail = {"c_min": res.c_min, "c_min_scaled":
-                          minimal_constant(scaled, right, "lemma3_scaled").c_min}
+                          minimal_constant(scaled, right).c_min}
             rows = () if res.row is None else (res.row,)  # the row where c_min binds
             yield Outcome(iid, res.feasible, {**detail, "binding": res.binding},
                           kf.n, kf.k, l, rows, res.c_min)

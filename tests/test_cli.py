@@ -11,6 +11,9 @@ import decoupling_lab
 from decoupling_lab import verifier
 from decoupling_lab.cli import main, parse_config, run
 from decoupling_lab.errors import ValidationError
+from decoupling_lab.prob_engine import exact_law
+from decoupling_lab.ustat_engine import StatisticSpec
+from decoupling_lab.value_space import uniform
 from decoupling_lab.verifier import ALL_CHECKS
 
 SMALL_CONFIG = {
@@ -123,6 +126,64 @@ def test_cli_oracle(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["values"] == [0.0, 2.0]
     assert payload["probs"] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("mode", ["coupled", "pattern", "mixed", "not_all_equal",
+                                  "symmetrized"])
+def test_cli_oracle_prints_exact_law_of_each_mode(capsys, mode):
+    assert main(["oracle", "--n", "3", "--k", "2", "--mode", mode,
+                 "--dist", "uniform3", "--kernel", "coeff", "--seed", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    kf = verifier.build_kernel("coeff", 3, 2, seed=4)
+    args = {"pattern": {"pattern": (0, 1)}, "mixed": {"l": 2}}.get(mode, {})
+    law = exact_law(StatisticSpec(kf, mode, **args), uniform(3))
+    assert payload == {"values": law.values.tolist(), "probs": law.probs.tolist()}
+
+
+def test_cli_oracle_bad_l_exits_2(capsys):
+    assert main(["oracle", "--n", "3", "--k", "2", "--mode", "mixed", "--l", "0"]) == 2
+    assert "l must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"corpus": {"law_count": "x"}}, "corpus.law_count"),
+    ({"corpus": {"nk_pairs": [[3]]}}, "corpus.nk_pairs"),
+    ({"budgets": {"enumeration": 2.7}}, "budgets.enumeration"),
+])
+def test_cli_malformed_config_value_exits_2(tmp_path, capsys, config, key):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**config, "checks": ["prop1"]}))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"configuration error: {key}: invalid value" in captured.err
+
+
+def test_parse_config_accepts_values_that_convert_unchanged():
+    cfg, _ = parse_config(json.dumps({"corpus": {"law_count": 3.0, "ls": [2]},
+                                      "tolerances": {"identity": 0}}))
+    assert (cfg.law_count, cfg.ls, cfg.identity_tol) == (3, (2,), 0.0)
+    for bad in ({"corpus": {"distributions": "rademacher"}},
+                {"corpus": {"nk_pairs": [[3, 2, 1]]}}, {"corpus": {"norm": 1}}):
+        with pytest.raises(ValidationError, match="invalid value"):
+            parse_config(json.dumps(bad))
+
+
+def test_cli_lists_distributional_skip_over_its_budget(tmp_path, capsys):
+    # uniform4 selector coupling at n=3, l=3: 4^9 sample matrices times 3^3
+    # choice vectors exceed the check's 2^20 joint assignments
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"corpus": {"distributions": ["uniform4"],
+                                               "ls": [3]},
+                                    "checks": ["distributional"]}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "3/3 checks passed, 1 instances skipped over budget" in captured.out
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["skipped"] == [{
+        "check": "distributional", "instance_id": "uniform4:selector:n3l3",
+        "reason": "7077888 joint assignments exceed budget 1048576"}]
 
 
 def test_cli_identities_subcommand(tmp_path):

@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from decoupling_lab import ustat_engine
 from decoupling_lab.errors import BudgetExceededError
 from decoupling_lab.kernel import (KernelFamily, affine_product_kernel,
                                    constant_kernel, first_argument_kernel,
@@ -65,7 +64,7 @@ def brute_force_law(spec, dist):
     idx = np.indices((dist.size,) * cells).reshape(cells, -1).T
     samples = dist.values_array()[idx].reshape(-1, kf.n, spec.copies_needed)
     probs = dist.probs_array()[idx].prod(axis=1)
-    total = ustat_engine.statistic(kf, samples, spec.mode, spec.pattern, spec.l)
+    total = dataclasses.replace(spec, kernel=kf)(samples)
     return aggregate_law(batch_norm(total, spec.norm_kind, kf.dim), probs)
 
 

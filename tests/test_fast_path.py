@@ -120,8 +120,8 @@ def test_randomization_helpers_fast_equals_generic(name):
         signs = rz.all_sign_vectors(n)
         for pattern in [(0,) * k, (1,) + (0,) * (k - 1)]:
             coupled = rz.sign_couple(s[:, :2], signs)  # every sign vector at once
-            _close(ustat_engine.statistic(fast, coupled, "pattern", pattern),
-                   ustat_engine.statistic(generic, coupled, "pattern", pattern))
+            _close(StatisticSpec(fast, "pattern", pattern)(coupled),
+                   StatisticSpec(generic, "pattern", pattern)(coupled))
             _close(rz.sign_conditional_expectation(fast, s[:, :2], pattern),
                    rz.sign_conditional_expectation(generic, s[:, :2], pattern))
             for kf in (fast, generic):

@@ -1,13 +1,17 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from decoupling_lab.errors import ValidationError
-from decoupling_lab.kernel import (constant_kernel, product_kernel,
+from decoupling_lab import prob_engine
+from decoupling_lab.errors import BudgetExceededError, ValidationError
+from decoupling_lab.kernel import (FACTORIAL_BUDGET, constant_kernel, product_kernel,
                                    random_coefficient_kernel)
-from decoupling_lab.ustat_engine import (mixed_sum, not_all_equal_sum,
+from decoupling_lab.prob_engine import evaluate_norms, exact_law
+from decoupling_lab.ustat_engine import (StatisticSpec, mixed_sum, not_all_equal_sum,
                                          pattern_sum, symmetrized_decoupled_sum)
+from decoupling_lab.value_space import rademacher
 
 
 def two_row_sample():
@@ -118,3 +122,63 @@ def test_constant_kernel_all_operations_count_patterns():
     assert mixed_sum(kf, s, 3) == pytest.approx(tuples * 9 * c)
     assert not_all_equal_sum(kf, s) == pytest.approx(tuples * 2 * c)
     assert symmetrized_decoupled_sum(kf, s) == pytest.approx(tuples * 2 * c)
+
+
+# Each bad statistic argument is rejected by the spec itself, so every entry
+# point that builds one (the sums, evaluate_norms, exact_law) raises the same
+# ValidationError before touching a sample.
+
+def _entry_points(kf, mode, **args):
+    s = np.array([[1.0, 2.0], [3.0, 5.0]])
+    spec = functools.partial(StatisticSpec, kf, mode, **args)
+    if mode == "pattern":
+        yield lambda: pattern_sum(kf, s, args["pattern"])
+    else:
+        yield lambda: mixed_sum(kf, s, args["l"])
+    yield spec
+    yield lambda: evaluate_norms(spec(), s[None])
+    yield lambda: exact_law(spec(), rademacher())
+
+
+@pytest.mark.parametrize("pattern", [(-1, 0), (0, -1)])
+def test_negative_pattern_entry_rejected(pattern):
+    # a negative copy index must not wrap around to the last copy
+    for call in _entry_points(product_kernel(2, 2), "pattern", pattern=pattern):
+        with pytest.raises(ValidationError, match="pattern entry"):
+            call()
+
+
+@pytest.mark.parametrize("pattern", [(0.5, 0), (0, "1"), (1.0, 0), None])
+def test_non_integer_pattern_rejected(pattern):
+    for call in _entry_points(product_kernel(2, 2), "pattern", pattern=pattern):
+        with pytest.raises(ValidationError, match="pattern"):
+            call()
+
+
+@pytest.mark.parametrize("l", [2.5, 2.0, 0, None])
+def test_non_integer_or_small_l_rejected(l):
+    for call in _entry_points(product_kernel(2, 2), "mixed", l=l):
+        with pytest.raises(ValidationError, match="l must be an integer >= 1"):
+            call()
+
+
+def test_spec_stores_integer_arguments():
+    kf = product_kernel(2, 2)
+    spec = StatisticSpec(kf, "pattern", pattern=[np.int64(1), 0])
+    assert spec.pattern == (1, 0) and all(type(p) is int for p in spec.pattern)
+    assert type(StatisticSpec(kf, "mixed", l=np.int64(2)).l) is int
+    assert prob_engine.StatisticSpec is StatisticSpec
+
+
+def test_symmetrized_spec_checks_factorial_budget():
+    with pytest.raises(BudgetExceededError, match="factorial budget"):
+        StatisticSpec(product_kernel(FACTORIAL_BUDGET + 1, FACTORIAL_BUDGET + 1),
+                      "symmetrized")
+
+
+def test_spec_call_validates_sample():
+    spec = StatisticSpec(product_kernel(2, 3), "mixed", l=3)
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((3, 2))):
+        with pytest.raises(ValidationError):
+            spec(bad)
+    assert spec(np.ones((4, 3, 3))).shape == (4,)

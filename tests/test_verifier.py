@@ -134,7 +134,7 @@ def test_monotone_feasibility():
     d = uniform(3)
     law_l = exact_law(StatisticSpec(kf, "coupled"), d)
     law_r = exact_law(StatisticSpec(kf, "pattern", pattern=(0, 1)), d)
-    res = minimal_constant(law_l, law_r, "upper")
+    res = minimal_constant(law_l, law_r)
     assert res.feasible
     assert tails_dominated(law_l, law_r, res.c_min * 1.1)
     assert tails_dominated(law_l, law_r, res.c_min * 10.0)
@@ -146,11 +146,11 @@ def test_scale_covariance():
     d = rademacher()
     law_l = exact_law(StatisticSpec(kf, "coupled"), d)
     law_r = exact_law(StatisticSpec(kf, "pattern", pattern=(0, 1)), d)
-    res = minimal_constant(law_l, law_r, "upper")
+    res = minimal_constant(law_l, law_r)
     s = 3.0
     scaled_l = DiscreteLaw(law_l.values * s, law_l.probs)
     scaled_r = DiscreteLaw(law_r.values * s, law_r.probs)
-    res_s = minimal_constant(scaled_l, scaled_r, "upper")
+    res_s = minimal_constant(scaled_l, scaled_r)
     assert res_s.c_min == pytest.approx(res.c_min, rel=1e-9)
 
 
@@ -283,7 +283,7 @@ def test_tail_lookup_bit_identical_to_masked_sums(pair):
         assert np.array_equal(ref_ts[at], ts) and np.array_equal(ref_slack[at], slack), c
         assert tails_dominated(law_l, law_r, c) == (np.max(ref_slack) <= 1e-12), c
     # the closed-form constant is feasible and minimal under the reference
-    res = minimal_constant(law_l, law_r, "upper")
+    res = minimal_constant(law_l, law_r)
     if not res.feasible:  # a right law with no positive point
         assert not _reference_feasible(law_l, law_r, verifier.C_CEILING)
         return
@@ -300,61 +300,57 @@ def _law(points):
 
 def test_minimal_constant_edge_cases():
     # a left law with no positive point needs no constant above 1
-    res = minimal_constant(_law({0.0: 1.0}), _law({0.0: 0.5, 1.0: 0.5}), "upper")
+    res = minimal_constant(_law({0.0: 1.0}), _law({0.0: 0.5, 1.0: 0.5}))
     assert res.feasible and res.c_min == 1.0 and res.binding is None
     assert res.row is None and res.max_slack == 0.0
     # a right law with no positive point can dominate no positive left tail
-    res = minimal_constant(_law({0.0: 0.5, 1.0: 0.5}), _law({0.0: 1.0}), "upper")
+    res = minimal_constant(_law({0.0: 0.5, 1.0: 0.5}), _law({0.0: 1.0}))
     assert not res.feasible and np.isnan(res.c_min) and res.binding is None
     assert res.max_slack == 0.0
     # the closed form gives 1e7 here, above the ceiling of 2^20
     right = _law({0.0: 1 - 1e-7, 1.0: 1e-7})
     assert tails_dominated(_law({1.0: 1.0}), right, 1e7)
-    res = minimal_constant(_law({1.0: 1.0}), right, "upper")
+    res = minimal_constant(_law({1.0: 1.0}), right)
     assert not res.feasible and np.isnan(res.c_min)
     # a right law that dominates with room: c_min is the floor 1, bound by no pair
-    res = minimal_constant(_law({0.0: 0.5, 1.0: 0.5}), _law({2.0: 1.0}), "upper")
+    res = minimal_constant(_law({0.0: 0.5, 1.0: 0.5}), _law({2.0: 1.0}))
     assert res.feasible and res.c_min == 1.0 and res.binding is None
 
 
 def test_minimal_constant_binding():
     # left {1: 1/2, 4: 1/2}, right {1: 1/2, 2: 1/2}: the threshold 4 needs
     # max(4 / 2, (1/2) / (1/2)) = 2 at the tops of both supports
-    res = minimal_constant(_law({1.0: 0.5, 4.0: 0.5}), _law({1.0: 0.5, 2.0: 0.5}),
-                           "upper")
+    res = minimal_constant(_law({1.0: 0.5, 4.0: 0.5}), _law({1.0: 0.5, 2.0: 0.5}))
     assert res.c_min == 2.0
     assert res.binding == {"v": 4.0, "w": 2.0, "at_top": True}
     assert res.row == verifier.CheckRow(4.0, 0.5, 1.0, True)
     # left {1: 1/2, 2: 1/2}, right {1: 3/4, 8: 1/4}: the threshold 1 needs
     # 1 / rhs_tail(1) = 1, and the threshold 2 needs min(max(2, 1/2), max(1/4, 2)) = 2,
     # reached at w = 1 and at w = 8; ties go to the larger w
-    res = minimal_constant(_law({1.0: 0.5, 2.0: 0.5}), _law({1.0: 0.75, 8.0: 0.25}),
-                           "upper")
+    res = minimal_constant(_law({1.0: 0.5, 2.0: 0.5}), _law({1.0: 0.75, 8.0: 0.25}))
     assert res.c_min == 2.0
     assert res.binding == {"v": 2.0, "w": 8.0, "at_top": True}
     # left {2: 1}, right {1: 3/4, 4: 1/4}: the threshold 2 needs
     # min(max(2 / 1, 1 / 1), max(2 / 4, 1 / (1/4))) = 2, below the top of the right
-    res = minimal_constant(_law({2.0: 1.0}), _law({1.0: 0.75, 4.0: 0.25}), "upper")
+    res = minimal_constant(_law({2.0: 1.0}), _law({1.0: 0.75, 4.0: 0.25}))
     assert res.c_min == 2.0
     assert res.binding == {"v": 2.0, "w": 1.0, "at_top": False}
     # equal laws {1: 1/2, 2: 1/2}: both thresholds need exactly 1; ties go to
     # the larger v
     law = _law({1.0: 0.5, 2.0: 0.5})
-    res = minimal_constant(law, law, "upper")
+    res = minimal_constant(law, law)
     assert res.c_min == 1.0
     assert res.binding == {"v": 2.0, "w": 2.0, "at_top": True}
     # left {1: 1/2, 2: 1/2}, right {1: 1/4, 4: 3/4}: the threshold 1 needs
     # max(1 / 1, 1 / 1) = 1 and the threshold 2 only max(2 / 4, (1/2) / (3/4))
-    res = minimal_constant(_law({1.0: 0.5, 2.0: 0.5}), _law({1.0: 0.25, 4.0: 0.75}),
-                           "upper")
+    res = minimal_constant(_law({1.0: 0.5, 2.0: 0.5}), _law({1.0: 0.25, 4.0: 0.75}))
     assert res.c_min == 1.0
     assert res.binding == {"v": 1.0, "w": 1.0, "at_top": False}
 
 
 def test_minimal_constant_feasible_only_when_confirmed(monkeypatch):
     monkeypatch.setattr(verifier, "tails_dominated", lambda *args: False)
-    res = minimal_constant(_law({1.0: 0.5, 4.0: 0.5}), _law({1.0: 0.5, 2.0: 0.5}),
-                           "upper")
+    res = minimal_constant(_law({1.0: 0.5, 4.0: 0.5}), _law({1.0: 0.5, 2.0: 0.5}))
     assert not res.feasible and np.isnan(res.c_min) and res.binding is None
 
 
@@ -371,7 +367,7 @@ def test_run_corpus_lemma3_scaled_constant():
     probs = np.prod(np.where(z == 0, 0.5, 0.25), axis=1)
     scaled = aggregate_law(np.abs(z.sum(axis=1) ** 2 - (z ** 2).sum(axis=1)), probs)
     coupled = exact_law(StatisticSpec(product_kernel(2, 3), "coupled"), rademacher())
-    expected = minimal_constant(scaled, coupled, "lemma3")
+    expected = minimal_constant(scaled, coupled)
     assert detail["c_min_scaled"] == expected.c_min < detail["c_min"]
     assert rep["summary"]["empirical_constants"]["lemma3_scaled:k=2"] >= expected.c_min
 
