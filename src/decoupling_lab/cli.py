@@ -72,6 +72,9 @@ def parse_config(text: str) -> tuple[CorpusConfig, str | None]:
         if not isinstance(raw["seed"], int):
             raise ValidationError("seed: must be an integer")
         kwargs["seed"] = raw["seed"]
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValidationError("output: must be a file path string")
     for section, fields in _SECTIONS.items():
         given = raw.get(section, {})
         if not isinstance(given, dict):
@@ -90,7 +93,7 @@ def parse_config(text: str) -> tuple[CorpusConfig, str | None]:
             kwargs[name] = converted
     if "checks" in raw:
         kwargs["checks"] = tuple(_CHECK_ALIASES.get(c, c) for c in raw["checks"])
-    return CorpusConfig(**kwargs), raw.get("output")
+    return CorpusConfig(**kwargs), output
 
 
 def _listed(value):

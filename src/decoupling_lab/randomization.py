@@ -24,8 +24,7 @@ DEFAULT_RANDOMIZATION_BUDGET = 2 ** 24
 
 def all_sign_vectors(n: int) -> np.ndarray:
     """All 2^n vectors of +/-1, one per row, in binary counting order."""
-    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int64)
+    return 2 * all_choice_vectors(n, 2) - 1
 
 
 def all_choice_vectors(n: int, l: int) -> np.ndarray:
@@ -65,18 +64,17 @@ def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
     """Residual of the 2^k sign-product expansion, per sign vector in the batch.
 
     Left side: 2^k times the pattern sum on the coupled sample.  Right side:
-    for each copy pattern j, the product over slots of (1 + sign) when the
-    j entry matches the target pattern and (1 - sign) otherwise, times the
-    original kernel term.  The contract is that the residual is identically 0.
+    one slot sum over all 2^k copy patterns j of the original sample, each
+    term weighted by the product over slots r of (1 + sign) when j_r matches
+    the target pattern and (1 - sign) otherwise.  The contract is that the
+    residual is identically 0.
     """
     s = np.asarray(s, dtype=float)
-    signs = np.asarray(signs, dtype=np.int64)
+    signs = np.asarray(signs, dtype=np.int64)[..., None]  # (..., n, 1): weights' copy axis
     spec = StatisticSpec(kf, "pattern", pattern)
-    lhs = (2.0 ** kf.k) * spec(sign_couple(s, signs))
-    rhs = 0.0
-    for j in itertools.product((0, 1), repeat=kf.k):
-        weights = [1 + signs if a == b else 1 - signs for a, b in zip(j, spec.pattern)]
-        rhs = rhs + slot_sum(kf, s, [(c,) for c in j], weights)
+    lhs = (2.0 ** kf.k) * spec(sign_couple(s, signs[..., 0]))
+    weights = [np.where(np.arange(2) == p, 1 + signs, 1 - signs) for p in spec.pattern]
+    rhs = slot_sum(kf, s, [(0, 1)] * kf.k, weights)
     return batch_norm(lhs - rhs, "euclidean", kf.dim)
 
 
@@ -101,6 +99,8 @@ def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int):
     """
     s = np.asarray(s, dtype=float)  # selector_couple checks it has l columns
     n = s.shape[0]
+    if l < 1:
+        raise ValidationError("l must be >= 1")
     if l ** n > DEFAULT_RANDOMIZATION_BUDGET:
         raise BudgetExceededError(
             f"{l}^{n} selector matrices exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")

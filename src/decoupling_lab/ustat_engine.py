@@ -26,6 +26,7 @@ import numpy as np
 from .errors import BudgetExceededError, ValidationError
 from .kernel import (FACTORIAL_BUDGET, MAX_TUPLE_COUNT, KernelFamily,
                      distinct_mask, distinct_tuples)
+from .value_space import NORM_KINDS
 
 
 def _contract(tensor: np.ndarray, cols) -> np.ndarray:
@@ -41,28 +42,29 @@ def _contract(tensor: np.ndarray, cols) -> np.ndarray:
 
 def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray:
     """Sum over copy patterns j in slots[0] x ... x slots[k-1] and distinct index
-    tuples idx of  w(idx) * f_idx(s[..., idx_0, j_0], ..., s[..., idx_{k-1}, j_{k-1}]),
-    where w(idx) is the product of weights[r][..., idx_r] (1 without weights).
+    tuples idx of  w(idx, j) * f_idx(s[..., idx_0, j_0], ..., s[..., idx_{k-1}, j_{k-1}]),
+    where w(idx, j) is the product of weights[r][..., idx_r, j_r] (1 without weights).
 
-    `s` has shape (..., n, copies) and each weights[r] shape (..., n).  Inputs
-    are not validated; calling a StatisticSpec does that.
+    `s` and each weights[r] have shape (..., n, copies).  Inputs are not
+    validated; calling a StatisticSpec does that.
     """
     k = kf.k
     if kf.coeffs is not None:
-        # multilinearity: the patterns of each slot add up column-wise
-        weights = weights or [np.ones(kf.n)] * k
-        cols = [s[..., list(sl)].sum(axis=-1) * w for sl, w in zip(slots, weights)]
-        count = math.prod(len(sl) for sl in slots) * _contract(
-            distinct_mask(kf.n, k), weights)
+        # multilinearity: the weighted patterns of each slot add up column-wise
+        weights = weights or [np.ones(s.shape[-2:])] * k
+        cols = [(s[..., list(sl)] * w[..., list(sl)]).sum(axis=-1)
+                for sl, w in zip(slots, weights)]
+        count = _contract(distinct_mask(kf.n, k),
+                          [w[..., list(sl)].sum(axis=-1) for sl, w in zip(slots, weights)])
         const = np.broadcast_to(kf.const, kf.coeffs.shape[k:])  # () or (dim,)
         return _contract(kf.coeffs, cols) + np.multiply.outer(count, const)
-    shapes = [s.shape[:-2]] + [w.shape[:-1] for w in weights or ()]
+    shapes = [s.shape[:-2]] + [w.shape[:-2] for w in weights or ()]
     acc = np.zeros(np.broadcast_shapes(*shapes) + ((kf.dim,) if kf.dim > 1 else ()))
     for j in itertools.product(*slots):
         for idx in distinct_tuples(kf.n, k):
             term = kf.evaluate(idx, tuple(s[..., idx[r], j[r]] for r in range(k)))
             if weights is not None:
-                w = math.prod(weights[r][..., idx[r]] for r in range(k))
+                w = math.prod(weights[r][..., idx[r], j[r]] for r in range(k))
                 term = term * (w[..., None] if kf.dim > 1 else w)
             acc += term
     return acc
@@ -85,6 +87,8 @@ class StatisticSpec:
 
     def __post_init__(self):
         k = self.kernel.k
+        if self.norm_kind not in NORM_KINDS:
+            raise ValidationError(f"unknown norm kind {self.norm_kind!r}")
         if self.mode == "pattern":
             if self.pattern is None or len(self.pattern) != k:
                 raise ValidationError("pattern mode needs a pattern of length k")

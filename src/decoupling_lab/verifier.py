@@ -139,9 +139,8 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchRe
 
 
 def _search_laws(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
-                 l: int | None, norm_kind: str, law_of, symmetric) -> tuple:
-    """The (left, right) exact laws search_constant compares, from
-    law_of(spec, dist), with the symmetry verdict from symmetric(kf, dist).
+                 l: int | None, norm_kind: str, law_of) -> tuple:
+    """The (left, right) exact laws search_constant compares, from law_of(spec, dist).
 
     The law on more copies is computed first, so a budget refusal names its
     m^(n*copies) and comes before any law is computed."""
@@ -156,7 +155,7 @@ def _search_laws(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
         left, right = right, left
     elif direction != "upper":
         raise ValidationError(f"unknown direction {direction!r}")
-    if direction != "upper" and not symmetric(kf, dist):
+    if direction != "upper" and not check_symmetry(kf, dist):
         raise SymmetryError(
             f"{direction}-direction search requires a symmetric kernel, got {kf.label}")
     laws = {s: law_of(s, dist) for s in sorted((left, right), reverse=True,
@@ -176,7 +175,7 @@ def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str
             (requires the joint symmetry condition).
     """
     laws = _search_laws(kf, dist, direction, l, norm_kind,
-                        lambda spec, d: exact_law(spec, d, budget), check_symmetry)
+                        lambda spec, d: exact_law(spec, d, budget))
     return minimal_constant(*laws)
 
 
@@ -308,21 +307,16 @@ def mazur_orlicz_exhaustive(k_max: int = 6) -> bool:
 
 def symmetrized_expansion_residual(kf: KernelFamily, s: np.ndarray,
                                    norm_kind: str = "euclidean") -> float:
-    """Residual of the inclusion-exclusion extraction of the symmetrized sum.
+    """Residual of the Mazur-Orlicz extraction of the symmetrized sum.
 
-    The symmetrized decoupled sum must equal the alternating sum over selector
-    vectors delta of the pattern sums with copies restricted to supp(delta).
+    The symmetrized decoupled sum must equal the alternating sum, over the
+    nonempty copy subsets S, of (-1)^(k - |S|) times the |S|-copy mixed sum
+    on the columns in S.
     """
-    k = kf.k
+    k, s = kf.k, np.asarray(s, dtype=float)
     lhs = np.asarray(ue.symmetrized_decoupled_sum(kf, s), dtype=float)
-    rhs = np.zeros_like(lhs)
-    for delta in itertools.product((0, 1), repeat=k):
-        support = [r for r in range(k) if delta[r] == 1]
-        if not support:
-            continue
-        sign = (-1) ** (k - len(support))
-        for j in itertools.product(support, repeat=k):
-            rhs = rhs + sign * np.asarray(ue.pattern_sum(kf, s, j), dtype=float)
+    rhs = sum((-1) ** (k - size) * ue.mixed_sum(kf, s[..., list(S)], size)
+              for size in range(1, k + 1) for S in itertools.combinations(range(k), size))
     return norm(lhs - rhs, norm_kind)
 
 
@@ -408,7 +402,7 @@ def draw_sample_matrix(rng, dist: DiscreteDistribution, n: int, copies: int):
 
 
 # Each check is a generator of Outcomes and Skips.  run_corpus passes each the
-# keywords cfg, rng, instances, law_of and symmetric, and runs the checks in
+# keywords cfg, rng, instances and law_of, and runs the checks in
 # ALL_CHECKS order, so they draw from the shared rng in that order.
 
 @dataclass(frozen=True)
@@ -445,8 +439,6 @@ def _identities(cfg, rng, instances, **_):
             worst = max(worst, float(np.max(res)))
         worst = max(worst, rz.pattern_invariance_spread(kf, s[:, :2], cfg.norm_kind))
         for l in cfg.ls:
-            if l > copies:
-                continue
             ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
             target = np.asarray(ue.mixed_sum(kf, s, l)) / float(l ** k)
             worst = max(worst, norm(ce - target, cfg.norm_kind))
@@ -528,7 +520,7 @@ def _moments(cfg, rng, **_):
         yield Outcome(f"selector:l{l}", rep.passed, n=n, l=l, rows=rep.rows)
 
 
-def _search(direction, cfg, instances, law_of, symmetric, **_):
+def _search(direction, cfg, instances, law_of, **_):
     """Closed-form constants of one direction; lemma3 also searches the mixed
     sum divided by l^k, the scale of the selector conditional-expectation identity."""
     for inst, dist, kf in instances:
@@ -537,8 +529,7 @@ def _search(direction, cfg, instances, law_of, symmetric, **_):
         for l in range(1, kf.k + 1) if direction == "lemma3" else (None,):
             iid = inst if l is None else f"{inst}l{l}"
             try:
-                left, right = _search_laws(kf, dist, direction, l, cfg.norm_kind,
-                                           law_of, symmetric)
+                left, right = _search_laws(kf, dist, direction, l, cfg.norm_kind, law_of)
             except BudgetExceededError as e:
                 yield Skip(iid, str(e))
                 continue
@@ -607,6 +598,8 @@ class CorpusConfig:
                 raise ValidationError(f"unknown check name {c!r}")
         if self.enum_budget <= 0 or self.mc_trials <= 0:
             raise ValidationError("budgets must be positive")
+        if any(l < 1 for l in self.ls):
+            raise ValidationError(f"every l in ls must be >= 1, got {self.ls}")
         batch_norm(0.0, self.norm_kind, 1)  # each of these raises on an unknown name
         for name in self.distributions:
             named_distribution(name)
@@ -659,11 +652,11 @@ def run_corpus(cfg: CorpusConfig) -> dict:
     `summary.skipped`; `checks` holds every requested check's wall seconds and
     exact laws computed, measured around that check alone.
     """
-    # each exact law once per (instance, statistic), each symmetry test once
+    # each exact law once per (instance, statistic)
     law_of = functools.cache(functools.partial(exact_law, budget=cfg.enum_budget))
     context = {"cfg": cfg, "rng": np.random.default_rng(cfg.seed),
                "instances": list(_instances(cfg)),  # built once, shared by every check
-               "law_of": law_of, "symmetric": functools.cache(check_symmetry)}
+               "law_of": law_of}
     results, table, skipped, checks = [], [], [], {}
     for check, generate in _CHECKS.items():
         if check not in cfg.checks:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,37 @@ def test_cli_unknown_corpus_name_exits_2_before_any_check(tmp_path, capsys, corp
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert "configuration error" in captured.err and field in captured.err
+
+
+@pytest.mark.parametrize("output", [1, 7])
+def test_parse_config_rejects_non_string_output(output):
+    with pytest.raises(ValidationError, match="output"):
+        parse_config(json.dumps({"output": output}))
+
+
+def test_cli_integer_output_exits_2_writing_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"output": 1, "checks": ["prop1"],
+                                    "corpus": {"law_count": 1}}))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: output" in captured.err
+
+
+def test_cli_ls_below_1_exits_2_before_any_check(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"corpus": {"ls": [0]},
+                                    "checks": ["lemma1", "identities"]}))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. NumPy's "Mean of empty slice"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "configuration error" in captured.err and "ls" in captured.err
+    with pytest.raises(ValidationError, match="ls"):
+        verifier.CorpusConfig(ls=(2, 0))
 
 
 def test_corpus_config_rejects_unknown_names():

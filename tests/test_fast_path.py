@@ -112,6 +112,40 @@ def test_sums_fast_equals_generic(name, batch):
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
+def test_per_copy_weights_fast_equals_generic(name):
+    rng = np.random.default_rng(13)
+    for k, n in ((1, 3), (2, 4), (3, 4)):
+        fast, generic = _pair(name, k, n)
+        slot_lists = ([range(3)] * k,  # every copy in every slot
+                      [(2, 0), (1,), (0, 2)][:k])  # multi-copy slots, out of order
+        # batched weights with one sample, one sample batch with shared weights,
+        # and both batched
+        shapes = (((n, 3), (5, n, 3)), ((5, n, 3), (n, 3)), ((5, n, 3), (5, n, 3)))
+        for slots in slot_lists:
+            for s_shape, w_shape in shapes:
+                s = rng.normal(size=s_shape)
+                weights = [rng.normal(size=w_shape) for _ in range(k)]
+                a = ustat_engine.slot_sum(fast, s, slots, weights)
+                b = ustat_engine.slot_sum(generic, s, slots, weights)
+                assert a.shape == b.shape == (5,) + ((2,) if fast.dim > 1 else ())
+                _close(a, b)
+
+
+@pytest.mark.parametrize("make", [KERNELS["coeff"], first_argument_kernel],
+                         ids=["coeff", "first-arg"])
+def test_one_hot_copy_weights_pick_one_pattern(make):
+    # weights that are 1 on copy pattern[r] and 0 elsewhere leave the pattern sum
+    kf = make(3, 4)
+    s = np.random.default_rng(17).normal(size=(4, 3))
+    for pattern in [(0, 1, 2), (2, 2, 0), (1, 0, 1)]:
+        weights = [np.broadcast_to(np.arange(3) == p, (4, 3)) for p in pattern]
+        _close(ustat_engine.slot_sum(kf, s, [range(3)] * 3, weights),
+               pattern_sum(kf, s, pattern))
+    _close(ustat_engine.slot_sum(kf, s, [range(3)] * 3, [np.ones((4, 3))] * 3),
+           mixed_sum(kf, s, 3))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
 def test_randomization_helpers_fast_equals_generic(name):
     rng = np.random.default_rng(11)
     for k, n in ((2, 3), (3, 4)):
@@ -165,3 +199,34 @@ def test_partition_residual_can_fail(monkeypatch):
 
     monkeypatch.setattr(ustat_engine, "not_all_equal_sum", off_by_one_pattern)
     assert _identities_passed() == [False, False]
+
+
+def _mazur_orlicz_passed():
+    cfg = CorpusConfig(seed=2, distributions=("rademacher",),
+                       kernel_classes=("product", "affine"), nk_pairs=((3, 2), (3, 3)),
+                       checks=("mazur_orlicz",))
+    return [r["passed"] for r in run_corpus(cfg)["results"]]
+
+
+def test_expansion_residual_can_fail(monkeypatch):
+    assert _identities_passed() == [True, True]
+    slot_sum = ustat_engine.slot_sum
+
+    def first_copy_only(kf, s, slots, weights=None):
+        return slot_sum(kf, s, [sl[:1] for sl in slots], weights)
+
+    # only the right side of the sign expansion goes through this binding
+    monkeypatch.setattr(rz, "slot_sum", first_copy_only)
+    assert _identities_passed() == [False, False]
+
+
+def test_mazur_orlicz_residual_can_fail(monkeypatch):
+    assert _mazur_orlicz_passed() == [True] * 5
+    slot_sum = ustat_engine.slot_sum
+
+    def last_copy_dropped(kf, s, l):
+        return slot_sum(kf, np.asarray(s, dtype=float), [range(max(l - 1, 1))] * kf.k)
+
+    monkeypatch.setattr(ustat_engine, "mixed_sum", last_copy_dropped)
+    # the exhaustive coefficient check does not sum, so it still passes
+    assert _mazur_orlicz_passed() == [True] + [False] * 4

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,17 @@ def test_all_sign_vectors():
     sv = all_sign_vectors(3)
     assert sv.shape == (8, 3)
     assert set(map(tuple, sv)) == set(itertools.product((-1, 1), repeat=3))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_sign_vectors_are_two_column_choice_vectors(n):
+    sv = all_sign_vectors(n)
+    expected = 2 * rz.all_choice_vectors(n, 2) - 1
+    assert sv.dtype == np.int64 and sv.shape == (2 ** n, n)
+    np.testing.assert_array_equal(sv, expected)
+    # binary counting order: row b holds bit i of b in column i
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    np.testing.assert_array_equal(sv, 2 * bits - 1)
 
 
 def test_sign_couple_identity_and_swap():
@@ -115,6 +127,14 @@ def test_selector_conditional_expectation_identity(l):
     s = rng.normal(size=(4, 3))
     ce = selector_conditional_expectation(kf, s, l)
     assert ce == pytest.approx(mixed_sum(kf, s, l) / l ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("l", [0, -1])
+def test_selector_conditional_expectation_rejects_l_below_1(l):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no empty-mean warning on the way
+        with pytest.raises(ValidationError, match="l must be >= 1"):
+            selector_conditional_expectation(product_kernel(2, 3), np.ones((3, 2)), l)
 
 
 def test_distributional_equality_selector():

@@ -11,7 +11,7 @@ from decoupling_lab.kernel import (FACTORIAL_BUDGET, constant_kernel, product_ke
 from decoupling_lab.prob_engine import evaluate_norms, exact_law
 from decoupling_lab.ustat_engine import (StatisticSpec, mixed_sum, not_all_equal_sum,
                                          pattern_sum, symmetrized_decoupled_sum)
-from decoupling_lab.value_space import rademacher
+from decoupling_lab.value_space import NORM_KINDS, rademacher
 
 
 def two_row_sample():
@@ -160,6 +160,14 @@ def test_non_integer_or_small_l_rejected(l):
     for call in _entry_points(product_kernel(2, 2), "mixed", l=l):
         with pytest.raises(ValidationError, match="l must be an integer >= 1"):
             call()
+
+
+def test_spec_rejects_unknown_norm_kind():
+    # rejected when the spec is built, before any law is enumerated or sampled
+    with pytest.raises(ValidationError, match="unknown norm kind 'bogus'"):
+        StatisticSpec(product_kernel(2, 3), "coupled", norm_kind="bogus")
+    for kind in NORM_KINDS:
+        assert StatisticSpec(product_kernel(2, 3), "coupled", norm_kind=kind)
 
 
 def test_spec_stores_integer_arguments():
