@@ -1,10 +1,15 @@
 """Batch driver: config ingestion, campaign execution, machine-readable reports.
 
-Config and report are JSON; `_SECTIONS` maps each config key to the CorpusConfig
-field it sets, which validates it.  The report carries the echoed config,
-per-check results, a summary, and meta information (each requested check's wall
-seconds and exact laws computed, under `meta.checks`); a flat CSV export (one
-row per check per threshold) is written next to the JSON report for plotting.
+Config and report are JSON.  `_FIELDS` is the one map from config keys and
+common flags to the CorpusConfig fields they set, and `_CAMPAIGNS` gives each
+campaign subcommand its preset check list.  A config that parse_config or
+CorpusConfig rejects (an unknown key such as `tolerances`, an unknown check
+name such as `theorem1-upper`, a value its field cannot take unchanged,
+`mc_trials` below 100, `law_count` below 1) exits 2 before any check runs.
+The report carries the echoed config, per-check results, a summary, and meta
+information (each requested check's wall seconds and exact laws computed,
+under `meta.checks`); a flat CSV export (one row per check per threshold) is
+written next to the JSON report for plotting.
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error,
 3 budget/resource error.  Instances left out for the enumeration budget are
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -26,32 +32,47 @@ import time
 from . import __version__
 from .errors import BudgetExceededError, ValidationError
 from .prob_engine import exact_law
-from .ustat_engine import StatisticSpec
+from .ustat_engine import MODES, StatisticSpec
 from .value_space import DEFAULT_ENUM_BUDGET
 from .verifier import (NOT_RUN_BUDGET, CorpusConfig, build_kernel,
                        named_distribution, run_corpus)
 
 FORMAT_VERSION = 1
 
-_CHECK_ALIASES = {
-    "theorem1-upper": "theorem1_upper",
-    "theorem1-lower": "theorem1_lower",
-    "mazur-orlicz": "mazur_orlicz",
-    "mc-consistency": "mc_consistency",
+
+def _names(value) -> tuple:
+    return tuple(str(x) for x in value)
+
+
+# Each settable CorpusConfig field by its JSON key ("section.key" inside a
+# section): the field, how its JSON value converts, and its common flag as
+# (flag, argparse type, help) if it has one.  _config_dict echoes every field
+# under its key.
+_FIELDS = {
+    "seed": ("seed", int, ("--seed", int, "overrides the config seed")),
+    "checks": ("checks", _names, ("--checks", lambda v: tuple(v.split(",")),
+                                  "comma-separated check names")),
+    "corpus.distributions": ("distributions", _names, None),
+    "corpus.kernel_classes": ("kernel_classes", _names, None),
+    "corpus.nk_pairs": ("nk_pairs",
+                        lambda v: tuple((int(p[0]), int(p[1])) for p in v), None),
+    "corpus.ls": ("ls", lambda v: tuple(int(x) for x in v), None),
+    "corpus.law_count": ("law_count", int, None),
+    "corpus.norm": ("norm_kind", str, None),
+    "budgets.enumeration": ("enum_budget", int,
+                            ("--budget", int, "enumeration budget override")),
+    "budgets.mc_trials": ("mc_trials", int,
+                          ("--trials", int, "Monte Carlo trials override")),
 }
 
-# Each config section: its keys, the CorpusConfig field each sets and how its
-# JSON value converts.  _config_dict echoes the same fields under the same keys.
-_SECTIONS = {
-    "corpus": {
-        "distributions": ("distributions", tuple),
-        "kernel_classes": ("kernel_classes", tuple),
-        "nk_pairs": ("nk_pairs", lambda v: tuple((int(p[0]), int(p[1])) for p in v)),
-        "ls": ("ls", lambda v: tuple(int(x) for x in v)),
-        "law_count": ("law_count", int),
-        "norm": ("norm_kind", str)},
-    "budgets": {"enumeration": ("enum_budget", int), "mc_trials": ("mc_trials", int)},
-    "tolerances": {"identity": ("identity_tol", float)},
+# The subcommands that run a campaign: help and the fields each one presets,
+# applied over the config and flags.
+_CAMPAIGNS = {
+    "verify": ("run the full campaign", {}),
+    "identities": ("exact-identity suite only",
+                   {"checks": ("identities", "mazur_orlicz", "distributional")}),
+    "constants": ("constant searches only",
+                  {"checks": ("theorem1_upper", "theorem1_lower", "lemma3")}),
 }
 
 
@@ -63,36 +84,34 @@ def parse_config(text: str) -> tuple[CorpusConfig, str | None]:
         raise ValidationError(f"config is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = set(raw) - {"seed", "checks", "output", *_SECTIONS}
+    unknown = set(raw) - {"output", *(key.split(".")[0] for key in _FIELDS)}
     if unknown:
         raise ValidationError(f"unknown top-level config field(s): {sorted(unknown)}")
-
-    kwargs = {}
-    if "seed" in raw:
-        if not isinstance(raw["seed"], int):
-            raise ValidationError("seed: must be an integer")
-        kwargs["seed"] = raw["seed"]
-    output = raw.get("output")
+    output = raw.pop("output", None)
     if output is not None and not isinstance(output, str):
         raise ValidationError("output: must be a file path string")
-    for section, fields in _SECTIONS.items():
-        given = raw.get(section, {})
-        if not isinstance(given, dict):
-            raise ValidationError(f"{section}: must be a JSON object")
-        unknown = set(given) - set(fields)
-        if unknown:
-            raise ValidationError(f"{section}: unknown field(s): {sorted(unknown)}")
-        for key, value in given.items():
-            name, convert = fields[key]
-            try:
-                converted = convert(value)
-            except (TypeError, ValueError, LookupError):
-                converted = None
-            if converted is None or _listed(converted) != value:  # failed or changed it
-                raise ValidationError(f"{section}.{key}: invalid value {value!r}")
-            kwargs[name] = converted
-    if "checks" in raw:
-        kwargs["checks"] = tuple(_CHECK_ALIASES.get(c, c) for c in raw["checks"])
+    given = {}  # each value by its _FIELDS key
+    for top, value in raw.items():
+        if top in _FIELDS:
+            given[top] = value
+        elif not isinstance(value, dict):
+            raise ValidationError(f"{top}: must be a JSON object")
+        else:
+            given.update((f"{top}.{key}", v) for key, v in value.items())
+    unknown = set(given) - set(_FIELDS)
+    if unknown:
+        raise ValidationError(f"unknown config field(s): {sorted(unknown)}")
+
+    kwargs = {}
+    for key, value in given.items():
+        name, convert, _ = _FIELDS[key]
+        try:
+            converted = convert(value)
+        except (TypeError, ValueError, LookupError):
+            converted = None
+        if converted is None or _listed(converted) != value:  # failed or changed it
+            raise ValidationError(f"{key}: invalid value {value!r}")
+        kwargs[name] = converted
     return CorpusConfig(**kwargs), output
 
 
@@ -101,10 +120,12 @@ def _listed(value):
 
 
 def _config_dict(cfg: CorpusConfig) -> dict:
-    return {"seed": cfg.seed, "checks": list(cfg.checks),
-            **{section: {key: _listed(getattr(cfg, name))
-                         for key, (name, _) in fields.items()}
-               for section, fields in _SECTIONS.items()}}
+    out = {}
+    for key, (name, _, _) in _FIELDS.items():
+        section, _, leaf = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[leaf] = _listed(
+            getattr(cfg, name))
+    return out
 
 
 def run(cfg: CorpusConfig, out_path: str | None = None) -> tuple[dict, int]:
@@ -157,28 +178,14 @@ def _load_config(args) -> tuple[CorpusConfig, str | None]:
             cfg, out = parse_config(fh.read())
     else:
         cfg, out = CorpusConfig(), None
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.budget is not None:
-        overrides["enum_budget"] = args.budget
-    if args.trials is not None:
-        overrides["mc_trials"] = args.trials
-    if args.checks is not None:
-        overrides["checks"] = tuple(
-            _CHECK_ALIASES.get(c, c) for c in args.checks.split(","))
-    if overrides:
-        cfg = CorpusConfig(**{**cfg.__dict__, **overrides})
-    if args.out is not None:
-        out = args.out
-    return cfg, out
+    flags = {name: getattr(args, name) for name, _, flag in _FIELDS.values()
+             if flag and getattr(args, name) is not None}
+    cfg = dataclasses.replace(cfg, **{**flags, **args.preset})
+    return cfg, out if args.out is None else args.out
 
 
-def _cmd_campaign(args, fixed_checks=None) -> int:
-    cfg, out = _load_config(args)
-    if fixed_checks is not None:
-        cfg = CorpusConfig(**{**cfg.__dict__, "checks": fixed_checks})
-    report, code = run(cfg, out)
+def _cmd_campaign(args) -> int:
+    report, code = run(*_load_config(args))
     summary = report["summary"]
     for r in report["results"]:
         status = "pass" if r["passed"] else "FAIL"
@@ -205,56 +212,40 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="report output path (JSON; CSV written beside)")
-    p.add_argument("--checks", help="comma-separated check names")
-    p.add_argument("--budget", type=int, help="enumeration budget override")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials override")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decoupling-lab",
         description="Verification campaigns for U-statistic decoupling inequalities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the full campaign")
-    _add_common(p)
-    p = sub.add_parser("identities", help="exact-identity suite only")
-    _add_common(p)
-    p = sub.add_parser("constants", help="constant searches only")
-    _add_common(p)
+    for command, (help_text, preset) in _CAMPAIGNS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="report output path (JSON; CSV written beside)")
+        for name, _, flag in _FIELDS.values():
+            if flag:
+                p.add_argument(flag[0], dest=name, type=flag[1], help=flag[2])
+        p.set_defaults(handler=_cmd_campaign, preset=preset)
 
     p = sub.add_parser("oracle", help="dump the exact law of one statistic")
     p.add_argument("--dist", default="rademacher")
     p.add_argument("--kernel", default="product")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", default="coupled",
-                   choices=["coupled", "pattern", "mixed", "not_all_equal",
-                            "symmetrized"])
+    p.add_argument("--mode", default="coupled", choices=MODES)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--norm", default="euclidean")
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--out")
+    p.set_defaults(handler=_cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_campaign(args)
-        if args.command == "identities":
-            return _cmd_campaign(
-                args, fixed_checks=("identities", "mazur_orlicz", "distributional"))
-        if args.command == "constants":
-            return _cmd_campaign(
-                args, fixed_checks=("theorem1_upper", "theorem1_lower", "lemma3"))
-        return _cmd_oracle(args)
+        return args.handler(args)
     except BudgetExceededError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return 3

@@ -25,6 +25,7 @@ from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm
 
 _VALUE_DECIMALS = 12  # aggregation resolution for norm values
 CONFIDENCE = 0.99  # of every Clopper-Pearson interval
+MIN_TRIALS = 100  # fewest Monte Carlo trials mc_tail accepts
 KAPPA_MEAN_TOL = 1e-9  # |E Y| above this is not mean zero
 KAPPA_MAX_SUBSETS = 2 ** 16  # atom subsets kappa may take null vectors of
 
@@ -188,8 +189,8 @@ def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
 def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,
             trials: int, seed: int) -> list[TailEstimate]:
     """Monte Carlo tail estimates with Clopper-Pearson intervals."""
-    if trials < 100:
-        raise ValidationError("trials must be >= 100")
+    if trials < MIN_TRIALS:
+        raise ValidationError(f"trials must be >= {MIN_TRIALS}")
     samples = sample_matrices(dist, spec.kernel.n, spec.copies_needed, trials, seed)
     norms = evaluate_norms(spec, samples)
     out = []

@@ -28,6 +28,8 @@ from .kernel import (FACTORIAL_BUDGET, MAX_TUPLE_COUNT, KernelFamily,
                      distinct_mask, distinct_tuples)
 from .value_space import NORM_KINDS
 
+MODES = ("coupled", "pattern", "mixed", "not_all_equal", "symmetrized")
+
 
 def _contract(tensor: np.ndarray, cols) -> np.ndarray:
     """sum over idx of tensor[idx] * cols[0][..., idx_0] * ... * cols[k-1][..., idx_{k-1}],
@@ -74,8 +76,8 @@ def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray
 class StatisticSpec:
     """One of the sums whose norm tail the theorems compare, validated when built.
 
-    mode: 'coupled', 'pattern' (with `pattern`, k copy indices), 'mixed' (with
-    `l`), 'not_all_equal', or 'symmetrized'; a mode reads only its own fields.
+    mode: one of MODES; 'pattern' reads `pattern` (k copy indices), 'mixed'
+    reads `l`, and a mode reads only its own fields.
     Calling the spec on samples of shape (..., n, copies) returns the sum.
     """
 
@@ -89,6 +91,8 @@ class StatisticSpec:
         k = self.kernel.k
         if self.norm_kind not in NORM_KINDS:
             raise ValidationError(f"unknown norm kind {self.norm_kind!r}")
+        if self.mode not in MODES:
+            raise ValidationError(f"unknown mode {self.mode!r}")
         if self.mode == "pattern":
             if self.pattern is None or len(self.pattern) != k:
                 raise ValidationError("pattern mode needs a pattern of length k")
@@ -99,8 +103,6 @@ class StatisticSpec:
         elif self.mode == "symmetrized":
             if k > FACTORIAL_BUDGET:
                 raise BudgetExceededError(f"k={k} exceeds factorial budget")
-        elif self.mode not in ("coupled", "not_all_equal"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
 
     @property
     def copies_needed(self) -> int:

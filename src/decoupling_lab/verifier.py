@@ -29,8 +29,8 @@ from . import kernel as kmod, randomization as rz, ustat_engine as ue
 from .errors import BudgetExceededError, SymmetryError, ValidationError
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient)
-from .prob_engine import (DiscreteLaw, aggregate_law, exact_law, kappa, mc_tail,
-                          moment, support_grid, tail)
+from .prob_engine import (MIN_TRIALS, DiscreteLaw, aggregate_law, exact_law, kappa,
+                          mc_tail, moment, support_grid, tail)
 from .randomization import all_sign_vectors, all_choice_vectors
 from .ustat_engine import StatisticSpec
 from .value_space import (DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm,
@@ -447,7 +447,7 @@ def _identities(cfg, rng, instances, **_):
             np.asarray(ue.pattern_sum(kf, s, p))
             for p in StatisticSpec(kf, "not_all_equal").patterns())
         worst = max(worst, norm(partition, cfg.norm_kind))
-        yield Outcome(inst, worst <= cfg.identity_tol, {"max_residual": worst}, n, k)
+        yield Outcome(inst, worst <= IDENTITY_TOL, {"max_residual": worst}, n, k)
 
 
 def _mazur_orlicz(cfg, rng, instances, **_):
@@ -457,7 +457,7 @@ def _mazur_orlicz(cfg, rng, instances, **_):
             continue
         s = draw_sample_matrix(rng, dist, kf.n, kf.k)
         res = symmetrized_expansion_residual(kf, s, cfg.norm_kind)
-        yield Outcome(inst, res <= cfg.identity_tol, {"residual": res}, kf.n, kf.k)
+        yield Outcome(inst, res <= IDENTITY_TOL, {"residual": res}, kf.n, kf.k)
 
 
 def _distributional(cfg, **_):
@@ -585,7 +585,6 @@ class CorpusConfig:
     checks: tuple = ALL_CHECKS
     enum_budget: int = DEFAULT_ENUM_BUDGET
     mc_trials: int = 20000
-    identity_tol: float = IDENTITY_TOL
     law_count: int = 25
     norm_kind: str = "euclidean"
 
@@ -596,8 +595,13 @@ class CorpusConfig:
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise ValidationError(f"unknown check name {c!r}")
-        if self.enum_budget <= 0 or self.mc_trials <= 0:
-            raise ValidationError("budgets must be positive")
+        if self.enum_budget <= 0:
+            raise ValidationError("enumeration budget must be positive")
+        if self.mc_trials < MIN_TRIALS:
+            raise ValidationError(
+                f"mc_trials must be >= {MIN_TRIALS}, got {self.mc_trials}")
+        if self.law_count < 1:
+            raise ValidationError(f"law_count must be >= 1, got {self.law_count}")
         if any(l < 1 for l in self.ls):
             raise ValidationError(f"every l in ls must be >= 1, got {self.ls}")
         batch_norm(0.0, self.norm_kind, 1)  # each of these raises on an unknown name

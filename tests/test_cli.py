@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import decoupling_lab
-from decoupling_lab import verifier
+from decoupling_lab import cli, randomization, verifier
 from decoupling_lab.cli import main, parse_config, run
 from decoupling_lab.errors import ValidationError
 from decoupling_lab.prob_engine import exact_law
-from decoupling_lab.ustat_engine import StatisticSpec
+from decoupling_lab.ustat_engine import MODES, StatisticSpec
 from decoupling_lab.value_space import uniform
 from decoupling_lab.verifier import ALL_CHECKS
 
@@ -27,7 +28,7 @@ SMALL_CONFIG = {
         "law_count": 5,
     },
     "budgets": {"enumeration": 2 ** 20, "mc_trials": 500},
-    "checks": ["identities", "lemma1", "prop1", "theorem1-upper"],
+    "checks": ["identities", "lemma1", "prop1", "theorem1_upper"],
 }
 
 
@@ -51,7 +52,7 @@ def test_parse_config_rejects_unknown_field():
 
 
 def test_parse_config_check_selection():
-    cfg, _ = parse_config('{"checks": ["lemma1", "theorem1-upper"]}')
+    cfg, _ = parse_config('{"checks": ["lemma1", "theorem1_upper"]}')
     assert cfg.checks == ("lemma1", "theorem1_upper")
     with pytest.raises(ValidationError, match="unknown check"):
         parse_config('{"checks": ["lemma99"]}')
@@ -89,11 +90,9 @@ def test_meta_records_per_check_timing():
     assert checks["identities"]["exact_laws"] == 0
 
 
-def test_broken_tolerance_forces_failure():
-    broken = dict(SMALL_CONFIG)
-    broken["tolerances"] = {"identity": -1.0}
-    broken["checks"] = ["identities"]
-    cfg, _ = parse_config(json.dumps(broken))
+def test_identity_residual_forces_failure(monkeypatch):
+    monkeypatch.setattr(randomization, "pattern_invariance_spread", lambda *_: 1e-9)
+    cfg, _ = parse_config(json.dumps({**SMALL_CONFIG, "checks": ["identities"]}))
     report, code = run(cfg)
     assert code == 1
     assert report["summary"]["failed"] > 0
@@ -129,8 +128,7 @@ def test_cli_oracle(tmp_path, capsys):
     assert payload["probs"] == [0.5, 0.5]
 
 
-@pytest.mark.parametrize("mode", ["coupled", "pattern", "mixed", "not_all_equal",
-                                  "symmetrized"])
+@pytest.mark.parametrize("mode", MODES)
 def test_cli_oracle_prints_exact_law_of_each_mode(capsys, mode):
     assert main(["oracle", "--n", "3", "--k", "2", "--mode", mode,
                  "--dist", "uniform3", "--kernel", "coeff", "--seed", "4"]) == 0
@@ -161,10 +159,10 @@ def test_cli_malformed_config_value_exits_2(tmp_path, capsys, config, key):
 
 
 def test_parse_config_accepts_values_that_convert_unchanged():
-    cfg, _ = parse_config(json.dumps({"corpus": {"law_count": 3.0, "ls": [2]},
-                                      "tolerances": {"identity": 0}}))
-    assert (cfg.law_count, cfg.ls, cfg.identity_tol) == (3, (2,), 0.0)
+    cfg, _ = parse_config(json.dumps({"corpus": {"law_count": 3.0, "ls": [2]}}))
+    assert (cfg.law_count, cfg.ls) == (3, (2,))
     for bad in ({"corpus": {"distributions": "rademacher"}},
+                {"corpus": {"distributions": [["rademacher"]]}},
                 {"corpus": {"nk_pairs": [[3, 2, 1]]}}, {"corpus": {"norm": 1}}):
         with pytest.raises(ValidationError, match="invalid value"):
             parse_config(json.dumps(bad))
@@ -277,6 +275,29 @@ def test_cli_ls_below_1_exits_2_before_any_check(tmp_path, capsys):
         verifier.CorpusConfig(ls=(2, 0))
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    ({"budgets": {"mc_trials": 50}}, [], "mc_trials must be >= 100"),
+    ({}, ["--trials", "99"], "mc_trials must be >= 100"),
+    ({"corpus": {"law_count": 0}}, [], "law_count must be >= 1"),
+    ({"tolerances": {"identity": 1e300}}, [], "['tolerances']"),
+    ({"checks": ["lemma1", "theorem1-upper"]}, [], "'theorem1-upper'"),
+    ({}, ["--checks", "lemma1,theorem1-upper"], "'theorem1-upper'"),
+], ids=["mc_trials", "trials-flag", "law_count", "tolerances", "hyphen-config",
+        "hyphen-flag"])
+def test_cli_rejected_config_exits_2_before_any_check(tmp_path, capsys, monkeypatch,
+                                                      config, flags, message):
+    def no_campaign(cfg):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(cli, "run_corpus", no_campaign)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"checks": ["lemma1", "mc_consistency"], **config}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "configuration error" in captured.err and message in captured.err
+
+
 def test_corpus_config_rejects_unknown_names():
     for kwargs in ({"norm_kind": "bogus"}, {"distributions": ("uniform",)},
                    {"kernel_classes": ("bogus",)}):
@@ -287,7 +308,7 @@ def test_corpus_config_rejects_unknown_names():
 def test_cli_check_emptied_by_budget_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**SMALL_CONFIG, "checks": [
-        "lemma1", "theorem1-upper", "mc-consistency"]}))
+        "lemma1", "theorem1_upper", "mc_consistency"]}))
     out = tmp_path / "r.json"
     assert main(["verify", "--config", str(cfg_path), "--budget", "16",
                  "--out", str(out)]) == 3
@@ -340,3 +361,37 @@ def test_cli_constants_csv_has_one_row_per_search(tmp_path):
             assert 1.0 <= detail["c_min_scaled"] <= detail["c_min"]
     constants = report["summary"]["empirical_constants"]
     assert constants["lemma3_scaled:k=2"] <= constants["lemma3:k=2"]
+
+
+@pytest.mark.parametrize("command", [c for c, (_, preset) in cli._CAMPAIGNS.items()
+                                     if preset])
+def test_campaign_subcommand_is_verify_with_its_preset(tmp_path, capsys, command):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_CONFIG))
+    checks = cli._CAMPAIGNS[command][1]["checks"]
+    runs = []
+    for argv in ([command], ["verify", "--checks", ",".join(checks)]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        runs.append((json.dumps({s: report[s] for s in ("results", "summary", "table")}),
+                     out.with_suffix(".csv").read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert {r["check"] for r in json.loads(runs[0][0])["results"]} == set(checks)
+
+
+@pytest.mark.parametrize("key", [key for key, (_, _, flag) in cli._FIELDS.items()
+                                 if flag])
+def test_common_flag_overrides_its_config_field(tmp_path, key):
+    # the flag sets its field to the default, which the config file must not hold
+    name, _, (flag, _, _) = cli._FIELDS[key]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**SMALL_CONFIG, "seed": 1}))
+    from_file, _ = parse_config(cfg_path.read_text())
+    default = getattr(verifier.CorpusConfig(), name)
+    assert getattr(from_file, name) != default
+    value = ",".join(default) if isinstance(default, tuple) else str(default)
+    args = cli.build_parser().parse_args(
+        ["verify", "--config", str(cfg_path), flag, value])
+    cfg, _ = cli._load_config(args)
+    assert cfg == dataclasses.replace(from_file, **{name: default})
