@@ -44,24 +44,28 @@ def _names(value) -> tuple:
     return tuple(str(x) for x in value)
 
 
+def _int(value) -> int | None:
+    return None if isinstance(value, bool) else int(value)  # JSON true is not 1
+
+
 # Each settable CorpusConfig field by its JSON key ("section.key" inside a
 # section): the field, how its JSON value converts, and its common flag as
 # (flag, argparse type, help) if it has one.  _config_dict echoes every field
 # under its key.
 _FIELDS = {
-    "seed": ("seed", int, ("--seed", int, "overrides the config seed")),
+    "seed": ("seed", _int, ("--seed", int, "overrides the config seed")),
     "checks": ("checks", _names, ("--checks", lambda v: tuple(v.split(",")),
                                   "comma-separated check names")),
     "corpus.distributions": ("distributions", _names, None),
     "corpus.kernel_classes": ("kernel_classes", _names, None),
     "corpus.nk_pairs": ("nk_pairs",
-                        lambda v: tuple((int(p[0]), int(p[1])) for p in v), None),
-    "corpus.ls": ("ls", lambda v: tuple(int(x) for x in v), None),
-    "corpus.law_count": ("law_count", int, None),
+                        lambda v: tuple((_int(p[0]), _int(p[1])) for p in v), None),
+    "corpus.ls": ("ls", lambda v: tuple(_int(x) for x in v), None),
+    "corpus.law_count": ("law_count", _int, None),
     "corpus.norm": ("norm_kind", str, None),
-    "budgets.enumeration": ("enum_budget", int,
+    "budgets.enumeration": ("enum_budget", _int,
                             ("--budget", int, "enumeration budget override")),
-    "budgets.mc_trials": ("mc_trials", int,
+    "budgets.mc_trials": ("mc_trials", _int,
                           ("--trials", int, "Monte Carlo trials override")),
 }
 

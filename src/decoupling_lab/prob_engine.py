@@ -58,12 +58,12 @@ class DiscreteLaw:
 
 
 def aggregate_law(values, probs) -> DiscreteLaw:
-    """Collapse repeated values (up to rounding resolution) into one law."""
-    v = np.round(np.asarray(values, dtype=float), _VALUE_DECIMALS)
-    p = np.asarray(probs, dtype=float)
-    uniq, inv = np.unique(v, return_inverse=True)
-    agg = np.zeros(uniq.size)
-    np.add.at(agg, inv, p)
+    """Collapse repeated values (up to rounding resolution) into one law.  Each
+    point's probabilities are added in the order the values come, as np.add.at would."""
+    v = np.round(np.asarray(values, dtype=float), _VALUE_DECIMALS).ravel()
+    s = np.sort(v)  # support: each value unequal to a non-NaN predecessor (NaNs last)
+    uniq = np.append(s[:1], s[1:][(s[1:] != s[:-1]) & (s[:-1] == s[:-1])])
+    agg = np.bincount(np.searchsorted(uniq, v), weights=np.ravel(probs), minlength=uniq.size)
     keep = agg > 0
     return DiscreteLaw(uniq[keep], agg[keep] / agg.sum())
 

@@ -188,11 +188,10 @@ def verify_lemma1(dist: DiscreteDistribution,
     """P(||X|| >= t) <= 3 P(||X + Y|| >= 2t/3) for X, Y i.i.d. with law `dist`."""
     atoms, probs = dist.values_array(), dist.probs_array()
     dim = atoms[0].size
-    law_x = aggregate_law(batch_norm(atoms, norm_kind, dim).ravel(), probs)
+    law_x = aggregate_law(batch_norm(atoms, norm_kind, dim), probs)
     # every pair (i, j) in row-major order
     pairs = atoms[:, None] + atoms[None, :]
-    law_sum = aggregate_law(batch_norm(pairs, norm_kind, dim).ravel(),
-                            np.outer(probs, probs).ravel())
+    law_sum = aggregate_law(batch_norm(pairs, norm_kind, dim), np.outer(probs, probs))
     rows = []
     for t in support_grid(law_x):
         if t <= 0:

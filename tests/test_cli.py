@@ -148,6 +148,14 @@ def test_cli_oracle_bad_l_exits_2(capsys):
     ({"corpus": {"law_count": "x"}}, "corpus.law_count"),
     ({"corpus": {"nk_pairs": [[3]]}}, "corpus.nk_pairs"),
     ({"budgets": {"enumeration": 2.7}}, "budgets.enumeration"),
+    # True == 1 in Python, but a JSON boolean is no integer
+    ({"seed": True}, "seed"),
+    ({"corpus": {"nk_pairs": [[3, True]]}}, "corpus.nk_pairs"),
+    ({"corpus": {"nk_pairs": [[False, 2]]}}, "corpus.nk_pairs"),
+    ({"corpus": {"ls": [1, True]}}, "corpus.ls"),
+    ({"corpus": {"law_count": True}}, "corpus.law_count"),
+    ({"budgets": {"enumeration": True}}, "budgets.enumeration"),
+    ({"budgets": {"mc_trials": True}}, "budgets.mc_trials"),
 ])
 def test_cli_malformed_config_value_exits_2(tmp_path, capsys, config, key):
     cfg_path = tmp_path / "config.json"
