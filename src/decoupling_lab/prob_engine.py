@@ -143,6 +143,8 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
     dims = values.shape[copies:]
     values = np.broadcast_to(values, (len(grid),) * copies + dims).reshape((-1,) + dims)
     probs = functools.reduce(np.multiply.outer, [grid_probs] * copies).ravel()
+    if abs(float(probs.sum()) - 1.0) > 1e-9:  # a bug here, not a bad input
+        raise RuntimeError(f"exact law of {spec.mode} has total mass {probs.sum()!r}")
     return aggregate_law(batch_norm(values, spec.norm_kind, kf.dim), probs)
 
 

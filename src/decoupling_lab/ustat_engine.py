@@ -15,6 +15,7 @@ accumulated in place (generic path).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -125,7 +126,9 @@ class StatisticSpec:
         return list(itertools.permutations(range(k)))
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        """The sum on samples of shape (..., n, copies), one per leading index."""
+        """The sum on samples of shape (..., n, copies), one per leading index: one slot
+        sum over the product set of copy patterns for 'mixed' and 'not_all_equal' (less
+        its two all-equal pattern sums), else one slot sum per pattern in `patterns()`."""
         kf, k = self.kernel, self.kernel.k
         s = np.asarray(s, dtype=float)
         if s.ndim < 2:
@@ -140,17 +143,13 @@ class StatisticSpec:
             raise ValidationError("kernel order k exceeds n")
         if math.perm(kf.n, k) > MAX_TUPLE_COUNT:
             raise BudgetExceededError("distinct tuple count exceeds evaluation ceiling")
-        if self.mode == "coupled":
-            return slot_sum(kf, s, [(0,)] * k)
-        if self.mode == "pattern":
-            return slot_sum(kf, s, [(p,) for p in self.pattern])
-        if self.mode == "mixed":
-            return slot_sum(kf, s, [range(self.l)] * k)
+        if self.mode not in ("mixed", "not_all_equal"):
+            return functools.reduce(np.add, (slot_sum(kf, s, [(p,) for p in pattern])
+                                             for pattern in self.patterns()))
+        total = slot_sum(kf, s, [range(self.copies_needed)] * k)
         if self.mode == "not_all_equal":
-            return (slot_sum(kf, s, [range(2)] * k)
-                    - slot_sum(kf, s, [(0,)] * k) - slot_sum(kf, s, [(1,)] * k))
-        return sum(slot_sum(kf, s, [(p,) for p in pi])  # symmetrized: k! patterns
-                   for pi in itertools.permutations(range(k)))
+            total = total - slot_sum(kf, s, [(0,)] * k) - slot_sum(kf, s, [(1,)] * k)
+        return total
 
 
 def _whole(value, name: str, least: int) -> int:

@@ -77,30 +77,27 @@ class ConstantSearchResult:
 # tail domination and the closed-form minimal constant
 # ---------------------------------------------------------------------------
 
-def _tail_tol(law: DiscreteLaw, u):
-    # P(value >= u) by suffix-sum lookup, with a small relative slack so that
-    # C * support points survive the division by C; u may be an array
-    u = u - 1e-9 * np.maximum(1.0, np.abs(u))
-    return law.suffix_sums[np.searchsorted(law.values, u)]
-
-
 def _positive_tails(law: DiscreteLaw):
     """Positive support points and P(value >= point) at each."""
     pos = law.values > 0
     return law.values[pos], law.suffix_sums[:-1][pos]
 
 
-def _max_slack(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float):
-    # The left tail is constant between its support points and c * rhs_tail(t/c)
-    # only falls as t grows, so only the positive left support points can bind.
+def _tail_rows(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float):
+    """(t, lhs_tail(t), c * rhs_tail(t/c)) at the positive left support points t,
+    the only t > 0 that can bind: the left tail is constant up to each of them
+    and c * rhs_tail(t/c) only falls as t grows."""
     ts, lhs = _positive_tails(law_l)
-    return ts, lhs - c * _tail_tol(law_r, ts / c)
+    # rhs_tail by suffix-sum lookup, with a small relative slack so that
+    # c * right support points survive the division by c
+    u = ts / c - 1e-9 * np.maximum(1.0, ts / c)
+    return ts, lhs, c * law_r.suffix_sums[np.searchsorted(law_r.values, u)]
 
 
 def tails_dominated(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float) -> bool:
     """Whether lhs_tail(t) <= c * rhs_tail(t/c) for every t > 0."""
-    _, slack = _max_slack(law_l, law_r, c)
-    return bool(np.max(slack, initial=-np.inf) <= IDENTITY_TOL)
+    _, lhs, rhs = _tail_rows(law_l, law_r, c)
+    return bool(np.max(lhs - rhs, initial=-np.inf) <= IDENTITY_TOL)
 
 
 def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchResult:
@@ -114,7 +111,7 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchRe
     """
     v, a = _positive_tails(law_l)
     w, r = _positive_tails(law_r)
-    c_min, binding, row = (math.inf if v.size else 1.0), None, None
+    c_min, binding = (math.inf if v.size else 1.0), None
     if v.size and w.size:
         # v/w falls and a/r(w) rises with w, so the min over w sits where they
         # cross: at the first w with w/r(w) >= v/a, or at the w before it
@@ -128,13 +125,12 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchRe
         if per_v[i] >= 1.0:  # below 1 no pair binds, only the floor c >= 1
             binding = {"v": float(v[i]), "w": float(w[best_w[i]]),
                        "at_top": bool(i == v.size - 1 and best_w[i] == w.size - 1)}
-            rhs = c_min * float(_tail_tol(law_r, v[i] / c_min))
-            row = CheckRow(float(v[i]), float(a[i]), rhs,
-                           bool(a[i] <= rhs + IDENTITY_TOL))
     if not (c_min <= C_CEILING and tails_dominated(law_l, law_r, c_min)):
         return ConstantSearchResult(math.nan, False, 0.0)
-    _, slack = _max_slack(law_l, law_r, c_min)
-    return ConstantSearchResult(c_min, True, max(slack.tolist(), default=0.0),
+    t, lhs, rhs = _tail_rows(law_l, law_r, c_min)
+    row = None if binding is None else CheckRow(  # row i is at t = binding v
+        float(t[i]), float(lhs[i]), float(rhs[i]), bool(lhs[i] <= rhs[i] + IDENTITY_TOL))
+    return ConstantSearchResult(c_min, True, max((lhs - rhs).tolist(), default=0.0),
                                 binding, row)
 
 
@@ -185,21 +181,18 @@ def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str
 
 def verify_lemma1(dist: DiscreteDistribution,
                   norm_kind: str = "euclidean") -> InequalityReport:
-    """P(||X|| >= t) <= 3 P(||X + Y|| >= 2t/3) for X, Y i.i.d. with law `dist`."""
+    """P(||X|| >= t) <= 3 P(||X + Y|| >= 2t/3) for X, Y i.i.d. with law `dist`: tail
+    domination of ||X|| by ||X + Y|| / 2 at c = 3, one row per positive point of ||X||."""
     atoms, probs = dist.values_array(), dist.probs_array()
     dim = atoms[0].size
     law_x = aggregate_law(batch_norm(atoms, norm_kind, dim), probs)
     # every pair (i, j) in row-major order
     pairs = atoms[:, None] + atoms[None, :]
     law_sum = aggregate_law(batch_norm(pairs, norm_kind, dim), np.outer(probs, probs))
-    rows = []
-    for t in support_grid(law_x):
-        if t <= 0:
-            continue
-        lhs = tail(law_x, t)
-        rhs = 3.0 * float(_tail_tol(law_sum, 2.0 * t / 3.0))
-        rows.append(CheckRow(float(t), lhs, rhs, lhs <= rhs + IDENTITY_TOL))
-    return InequalityReport(tuple(rows))
+    rows = zip(*(a.tolist() for a in _tail_rows(
+        law_x, DiscreteLaw(law_sum.values / 2, law_sum.probs), 3.0)))
+    return InequalityReport(tuple(CheckRow(t, lhs, rhs, lhs <= rhs + IDENTITY_TOL)
+                                  for t, lhs, rhs in rows))
 
 
 def verify_prop1(a: float, dist: DiscreteDistribution) -> InequalityReport:
@@ -261,28 +254,25 @@ def verify_moment_comparison(coeffs, n: int, degree: int,
     """
     bound = 3.0 ** (degree / 2.0)
     if kind == "rademacher":
-        values = sign_chaos_values(coeffs, n, x0=x0)
-        probs = np.full(values.shape[0], 1.0 / values.shape[0])
-        variants = [("chaos", values)]
+        variants = [sign_chaos_values(coeffs, n, x0=x0)]
     elif kind == "centered-selector":
         if l is None or l < 1:
             raise ValidationError("centered-selector kind needs l >= 1")
         a = np.asarray(coeffs, dtype=float)
         if a.shape != (n, l):
             raise ValidationError("selector coefficients must have shape (n, l)")
-        choices = all_choice_vectors(n, l)  # (B, n)
-        delta = np.stack([(choices == r).astype(float) for r in range(l)], axis=2)
-        eps = delta - 1.0 / l
-        centered = x0 + np.einsum("bnr,nr->b", eps, a)
-        raw = x0 + np.einsum("bnr,nr->b", delta, a)
-        probs = np.full(centered.shape[0], 1.0 / centered.shape[0])
-        variants = [("centered", centered), ("recentered", raw)]
+        if l ** n > rz.DEFAULT_RANDOMIZATION_BUDGET:
+            raise BudgetExceededError(f"{l}^{n} selector matrices exceed budget "
+                                      f"{rz.DEFAULT_RANDOMIZATION_BUDGET}")
+        # x0 + sum_i a[i, chosen column]; centering subtracts each row's mean
+        raw = x0 + rz.selector_couple(a, all_choice_vectors(n, l)).sum(axis=1)
+        variants = [raw - a.sum() / l, raw]
     else:
         raise ValidationError(f"unknown variable kind {kind!r}")
 
     rows = []
-    for _, vals in variants:
-        law = aggregate_law(vals, probs)
+    for vals in variants:
+        law = aggregate_law(vals, np.full(vals.shape[0], 1.0 / vals.shape[0]))
         m1, m2, m4 = moment(law, 1), moment(law, 2), moment(law, 4)
         if m2 == 0.0:
             rows.append(CheckRow(0.0, 0.0, bound, True))  # degenerate: skipped
@@ -437,10 +427,14 @@ def _identities(cfg, rng, instances, **_):
             res = rz.expansion_residual_batch(kf, s[:, :2], signs, pattern)
             worst = max(worst, float(np.max(res)))
         worst = max(worst, rz.pattern_invariance_spread(kf, s[:, :2], cfg.norm_kind))
-        for l in cfg.ls:
-            ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
-            target = np.asarray(ue.mixed_sum(kf, s, l)) / float(l ** k)
-            worst = max(worst, norm(ce - target, cfg.norm_kind))
+        try:
+            for l in cfg.ls:
+                ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
+                target = np.asarray(ue.mixed_sum(kf, s, l)) / float(l ** k)
+                worst = max(worst, norm(ce - target, cfg.norm_kind))
+        except BudgetExceededError as e:
+            yield Skip(inst, str(e))
+            continue
         # not_all_equal_sum against the sum of its 2^k - 2 pattern sums
         partition = np.asarray(ue.not_all_equal_sum(kf, s)) - sum(
             np.asarray(ue.pattern_sum(kf, s, p))
@@ -514,8 +508,12 @@ def _moments(cfg, rng, **_):
             continue
         n = 4
         a = rng.integers(-3, 4, size=(n, l)).astype(float)
-        rep = verify_moment_comparison(a, n, 1, "centered-selector", l=l,
-                                       x0=float(rng.integers(0, 3)))
+        try:
+            rep = verify_moment_comparison(a, n, 1, "centered-selector", l=l,
+                                           x0=float(rng.integers(0, 3)))
+        except BudgetExceededError as e:
+            yield Skip(f"selector:l{l}", str(e))
+            continue
         yield Outcome(f"selector:l{l}", rep.passed, n=n, l=l, rows=rep.rows)
 
 

@@ -403,3 +403,43 @@ def test_common_flag_overrides_its_config_field(tmp_path, key):
         ["verify", "--config", str(cfg_path), flag, value])
     cfg, _ = cli._load_config(args)
     assert cfg == dataclasses.replace(from_file, **{name: default})
+
+
+OVERSIZE_L_CONFIG = {"corpus": {"nk_pairs": [[4, 2]], "ls": [1, 2, 65],
+                                "distributions": ["rademacher"], "law_count": 1},
+                     "checks": ["lemma1", "identities", "distributional"]}
+
+
+def test_cli_oversize_l_skips_identities_and_keeps_the_report(tmp_path, capsys):
+    # 65^4 selector matrices exceed the randomization budget at every n = 4
+    # instance, so identities records skips and is not run; lemma1 still reports
+    cfg_path, out = tmp_path / "config.json", tmp_path / "r.json"
+    cfg_path.write_text(json.dumps(OVERSIZE_L_CONFIG))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "budget error" not in err
+    assert "not run: identities: " + verifier.NOT_RUN_BUDGET in err
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["failed"] == 0
+    assert summary["not_run"] == {"identities": verifier.NOT_RUN_BUDGET}
+    skipped = [s for s in summary["skipped"] if s["check"] == "identities"]
+    assert len(skipped) == 4
+    assert skipped[0] == {"check": "identities",
+                          "instance_id": "rademacher:product:n4k2",
+                          "reason": "65^4 selector matrices exceed budget 16777216"}
+    checks = {r["check"] for r in json.loads(out.read_text())["results"]}
+    assert checks == {"lemma1", "distributional"}
+
+
+def test_cli_oversize_l_keeps_the_identities_it_can_run(tmp_path, capsys):
+    cfg = {**OVERSIZE_L_CONFIG, "corpus": {**OVERSIZE_L_CONFIG["corpus"],
+                                           "nk_pairs": [[3, 2], [4, 2]]}}
+    cfg_path, out = tmp_path / "config.json", tmp_path / "r.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    identities = [r["instance_id"] for r in report["results"] if r["check"] == "identities"]
+    assert len(identities) == 4 and all(i.endswith(":n3k2") for i in identities)
+    assert "not_run" not in report["summary"]
+    assert {s["instance_id"] for s in report["summary"]["skipped"]
+            if s["check"] == "identities"} == {i.replace("n3k2", "n4k2") for i in identities}

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from decoupling_lab import prob_engine
 from decoupling_lab.errors import BudgetExceededError
 from decoupling_lab.kernel import (KernelFamily, affine_product_kernel,
                                    constant_kernel, first_argument_kernel,
@@ -102,3 +103,22 @@ def test_cell_tensor_ceiling():
     spec = StatisticSpec(first_argument_kernel(4, 33), "coupled")
     with pytest.raises(BudgetExceededError, match="cell tensor"):
         exact_law(spec, rademacher(), budget=2 ** 40)
+
+
+def test_exact_law_refuses_a_law_whose_mass_is_not_1(monkeypatch):
+    # drop the multinomial factor: every mixed law with l >= 2 loses mass
+    count_vectors = prob_engine._count_vectors
+
+    def without_ways(probs, l):
+        counts, _ = count_vectors(probs, l)
+        return counts, np.prod(probs ** counts, axis=1)
+
+    monkeypatch.setattr(prob_engine, "_count_vectors", without_ways)
+    for dist in (rademacher(), uniform(3)):
+        for l in (2, 3):
+            spec = StatisticSpec(product_kernel(2, 3), "mixed", l=l)
+            with pytest.raises(RuntimeError, match="total mass") as e:
+                exact_law(spec, dist)
+            assert type(e.value) is RuntimeError  # neither a budget nor an input error
+    law = exact_law(StatisticSpec(product_kernel(2, 3), "coupled"), uniform(3))
+    assert law.probs.sum() == pytest.approx(1.0)

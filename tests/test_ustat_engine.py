@@ -6,8 +6,8 @@ import pytest
 
 from decoupling_lab import prob_engine
 from decoupling_lab.errors import BudgetExceededError, ValidationError
-from decoupling_lab.kernel import (FACTORIAL_BUDGET, constant_kernel, product_kernel,
-                                   random_coefficient_kernel)
+from decoupling_lab.kernel import (FACTORIAL_BUDGET, constant_kernel, first_argument_kernel,
+                                   product_kernel, random_coefficient_kernel)
 from decoupling_lab.prob_engine import evaluate_norms, exact_law
 from decoupling_lab.ustat_engine import (StatisticSpec, mixed_sum, not_all_equal_sum,
                                          pattern_sum, symmetrized_decoupled_sum)
@@ -190,3 +190,18 @@ def test_spec_call_validates_sample():
         with pytest.raises(ValidationError):
             spec(bad)
     assert spec(np.ones((4, 3, 3))).shape == (4,)
+
+
+@pytest.mark.parametrize("kf", [random_coefficient_kernel(3, 4, seed=2),
+                                first_argument_kernel(2, 3)], ids=lambda kf: kf.label)
+@pytest.mark.parametrize("mode,args", [("coupled", {}), ("pattern", {"pattern": (2, 0, 1)}),
+                                       ("mixed", {"l": 3}), ("not_all_equal", {}),
+                                       ("symmetrized", {})])
+def test_each_mode_is_the_sum_of_its_pattern_sums(kf, mode, args):
+    k = kf.k
+    if "pattern" in args:
+        args = {"pattern": args["pattern"][:k]}
+    spec = StatisticSpec(kf, mode, **args)
+    s = np.random.default_rng(5).normal(size=(7, kf.n, 3))  # a batch of 7 samples
+    expected = sum(pattern_sum(kf, s, p) for p in spec.patterns())
+    assert np.allclose(spec(s), expected, rtol=1e-12, atol=1e-12)

@@ -1,16 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from decoupling_lab import verifier
-from decoupling_lab.errors import SymmetryError
+from decoupling_lab.errors import BudgetExceededError, SymmetryError
 from decoupling_lab.kernel import (check_symmetry, constant_kernel,
                                    first_argument_kernel, product_kernel,
                                    random_coefficient_kernel)
 from decoupling_lab.prob_engine import (DiscreteLaw, StatisticSpec, aggregate_law,
-                                        exact_law)
-from decoupling_lab.value_space import DiscreteDistribution, rademacher, uniform
+                                        exact_law, moment, support_grid, tail)
+from decoupling_lab.randomization import all_choice_vectors
+from decoupling_lab.value_space import (NORM_KINDS, DiscreteDistribution, batch_norm,
+                                        rademacher, uniform)
 from decoupling_lab.verifier import (CorpusConfig, mazur_orlicz_exhaustive,
                                      minimal_constant, random_law, run_corpus,
                                      search_constant,
@@ -33,10 +36,61 @@ def test_lemma1_degenerate():
     assert rep.passed
 
 
-def test_lemma1_uniform3_full_grid():
-    rep = verify_lemma1(uniform(3))
+@pytest.mark.parametrize("dist", [uniform(3), uniform(4), rademacher(),
+                                  DiscreteDistribution((-2.0, 0.0, 1.0, 3.0),
+                                                       (0.1, 0.2, 0.3, 0.4))],
+                         ids=["uniform3", "uniform4", "rademacher", "skewed"])
+def test_lemma1_rows_are_the_positive_support_points(dist):
+    rep = verify_lemma1(dist)
     assert rep.passed
-    assert len(rep.rows) > 1
+    law_x = aggregate_law(np.abs(dist.values_array()), dist.probs_array())
+    assert [r.t for r in rep.rows] == law_x.values[law_x.values > 0].tolist()
+
+
+def _tail_tol(law, u):
+    # P(value >= u) by suffix-sum lookup, with a small relative slack so that
+    # C * support points survive the division by C; u may be an array
+    u = u - 1e-9 * np.maximum(1.0, np.abs(u))
+    return law.suffix_sums[np.searchsorted(law.values, u)]
+
+
+def _lemma1_t_grid_reference(dist, norm_kind):
+    # the former body of verify_lemma1: every t > 0 of the law's support grid
+    atoms, probs = dist.values_array(), dist.probs_array()
+    dim = atoms[0].size
+    law_x = aggregate_law(batch_norm(atoms, norm_kind, dim), probs)
+    # every pair (i, j) in row-major order
+    pairs = atoms[:, None] + atoms[None, :]
+    law_sum = aggregate_law(batch_norm(pairs, norm_kind, dim), np.outer(probs, probs))
+    rows = []
+    for t in support_grid(law_x):
+        if t <= 0:
+            continue
+        lhs = tail(law_x, t)
+        rhs = 3.0 * float(_tail_tol(law_sum, 2.0 * t / 3.0))
+        rows.append(verifier.CheckRow(float(t), lhs, rhs,
+                                      lhs <= rhs + verifier.IDENTITY_TOL))
+    return verifier.InequalityReport(tuple(rows))
+
+
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+def test_lemma1_support_rows_match_the_t_grid_loop(norm_kind):
+    rng = np.random.default_rng(16)
+    for i in range(150):
+        dist = random_law(rng, dim=1 + i % 3)
+        new, old = verify_lemma1(dist, norm_kind), _lemma1_t_grid_reference(dist, norm_kind)
+        assert new.passed == old.passed
+        old_at = {r.t: r for r in old.rows}
+        assert all(old_at[r.t] == r for r in new.rows)
+
+
+def test_lemma1_fails_at_factor_1(monkeypatch):
+    # with P(||X|| >= t) <= 1 P(||X + Y|| / 2 >= t) in place of the factor 3
+    tail_rows = verifier._tail_rows
+    monkeypatch.setattr(verifier, "_tail_rows", lambda l, r, c: tail_rows(l, r, 1.0))
+    assert not verify_lemma1(rademacher()).passed
+    rng = np.random.default_rng(3)
+    assert not all(verify_lemma1(random_law(rng, dim=1)).passed for _ in range(20))
 
 
 def test_lemma1_vector_law():
@@ -95,6 +149,67 @@ def test_moment_comparison_centered_selector():
     a = rng.integers(-3, 4, size=(3, 2)).astype(float)
     rep = verify_moment_comparison(a, 3, 1, "centered-selector", l=2, x0=1.0)
     assert rep.passed
+
+
+def _selector_moment_reference(a, n, l, x0):
+    # the former one-hot body: (l^n, n, l) indicator tensors contracted by einsum
+    choices = all_choice_vectors(n, l)
+    delta = np.stack([(choices == r).astype(float) for r in range(l)], axis=2)
+    eps = delta - 1.0 / l
+    rows = []
+    for vals in (x0 + np.einsum("bnr,nr->b", eps, a), x0 + np.einsum("bnr,nr->b", delta, a)):
+        law = aggregate_law(vals, np.full(vals.shape[0], 1.0 / vals.shape[0]))
+        m1, m2, m4 = moment(law, 1), moment(law, 2), moment(law, 4)
+        if m2 == 0.0:  # degenerate: one row
+            rows.append((0.0, 3.0 ** 0.5))
+            continue
+        rows += [(m4 / m2, 3.0 ** 0.5), (m2, (m4 / m2) ** 2 * m1)]
+    return rows
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_selector_moments_match_the_one_hot_einsum(integer):
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n, l = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        a = (rng.integers(-3, 4, size=(n, l)).astype(float) if integer
+             else rng.normal(size=(n, l)))
+        x0 = float(rng.integers(0, 3))
+        rep = verify_moment_comparison(a, n, 1, "centered-selector", l=l, x0=x0)
+        ref = _selector_moment_reference(a, n, l, x0)
+        assert len(rep.rows) == len(ref)
+        assert rep.passed == all(lhs <= rhs + 1e-12 for lhs, rhs in ref)
+        for row, (lhs, rhs) in zip(rep.rows, ref):
+            assert row.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+            assert row.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _no_choice_vectors_over_budget(monkeypatch):
+    # listing 65^4 choice vectors as one-hot arrays would take about 37 GB
+    def choice_vectors(n, l):
+        assert l ** n <= 2 ** 24, "choice vectors listed over budget"
+        return all_choice_vectors(n, l)
+
+    monkeypatch.setattr(verifier, "all_choice_vectors", choice_vectors)
+
+
+def test_selector_moments_refuse_over_budget_before_allocating(monkeypatch):
+    _no_choice_vectors_over_budget(monkeypatch)
+    a = np.ones((4, 65))
+    tracemalloc.start()
+    with pytest.raises(BudgetExceededError, match="65\\^4 selector matrices"):
+        verify_moment_comparison(a, 4, 1, "centered-selector", l=65)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_moments_records_a_selector_over_budget_as_skip(monkeypatch):
+    _no_choice_vectors_over_budget(monkeypatch)
+    out = run_corpus(CorpusConfig(seed=1, nk_pairs=((2, 1),), ls=(2, 65),
+                                  checks=("moments",)))
+    assert [s["instance_id"] for s in out["summary"]["skipped"]] == ["selector:l65"]
+    assert "selector:l2" in {r["instance_id"] for r in out["results"]}
 
 
 def test_search_constant_zero_kernel():
@@ -277,7 +392,8 @@ def test_tail_lookup_bit_identical_to_masked_sums(pair):
     for c in cs.tolist():
         # the suffix-sum slack at the positive left support points equals the
         # masked sums there bit for bit, and no other threshold binds
-        ts, slack = verifier._max_slack(law_l, law_r, c)
+        ts, lhs, rhs = verifier._tail_rows(law_l, law_r, c)
+        slack = lhs - rhs
         ref_ts, ref_slack = _reference_slack(law_l, law_r, c)
         at = np.searchsorted(ref_ts, ts)
         assert np.array_equal(ref_ts[at], ts) and np.array_equal(ref_slack[at], slack), c
