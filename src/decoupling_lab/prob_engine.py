@@ -28,6 +28,7 @@ CONFIDENCE = 0.99  # of every Clopper-Pearson interval
 MIN_TRIALS = 100  # fewest Monte Carlo trials mc_tail accepts
 KAPPA_MEAN_TOL = 1e-9  # |E Y| above this is not mean zero
 KAPPA_MAX_SUBSETS = 2 ** 16  # atom subsets kappa may take null vectors of
+_CHUNK = 2 ** 13  # values per aggregation block, trials per Monte Carlo chunk
 
 
 @dataclass(frozen=True)
@@ -57,15 +58,29 @@ class DiscreteLaw:
         return np.array([self.probs[i:].sum() for i in range(self.probs.size + 1)])
 
 
+def _aggregate(blocks, mode=None) -> DiscreteLaw:
+    """Collapse the rounded values of (values, probs) blocks, taken in order, into a law."""
+    support, sums = np.empty(0), np.empty(0)
+    for values, probs in blocks:
+        v, p = np.round(np.asarray(values, float), _VALUE_DECIMALS).ravel(), np.ravel(probs)
+        if v.size != p.size:
+            raise ValidationError(f"{v.size} values for {p.size} probabilities")
+        s = np.sort(v)  # NaNs last; np.unique would import numpy.ma
+        new = np.append(s[:1], s[1:][(s[1:] != s[:-1]) & (s[:-1] == s[:-1])])  # a single NaN
+        new = new[np.searchsorted(support, new) == np.searchsorted(support, new, "right")]
+        at = np.searchsorted(support, new)  # where each point the support lacks goes
+        support, sums = np.insert(support, at, new), np.insert(sums, at, 0.0)
+        np.add.at(sums, np.searchsorted(support, v), p)
+    if mode and abs(float(sums.sum()) - 1.0) > 1e-9:  # an exact_law bug, not a bad input
+        raise RuntimeError(f"exact law of {mode} has total mass {sums.sum()!r}")
+    return DiscreteLaw(support[sums > 0], sums[sums > 0] / sums.sum())
+
+
 def aggregate_law(values, probs) -> DiscreteLaw:
-    """Collapse repeated values (up to rounding resolution) into one law.  Each
-    point's probabilities are added in the order the values come, as np.add.at would."""
-    v = np.round(np.asarray(values, dtype=float), _VALUE_DECIMALS).ravel()
-    s = np.sort(v)  # support: each value unequal to a non-NaN predecessor (NaNs last)
-    uniq = np.append(s[:1], s[1:][(s[1:] != s[:-1]) & (s[:-1] == s[:-1])])
-    agg = np.bincount(np.searchsorted(uniq, v), weights=np.ravel(probs), minlength=uniq.size)
-    keep = agg > 0
-    return DiscreteLaw(uniq[keep], agg[keep] / agg.sum())
+    """Law of `values` weighted by `probs`, aggregated _CHUNK values at a time."""
+    v, p = np.ravel(values), np.ravel(probs)
+    return _aggregate((v[i:i + _CHUNK], p[i:i + _CHUNK])
+                      for i in range(0, max(v.size, p.size), _CHUNK))
 
 
 def tail(law: DiscreteLaw, t: float) -> float:
@@ -101,17 +116,17 @@ def _grid_contract(tensor: np.ndarray, grid: np.ndarray, pattern, copies: int):
     its turn comes and contract against one shared grid axis.
     """
     order = np.argsort(pattern, kind="stable")
-    acc = tensor.transpose(tuple(order) + tuple(range(len(order), tensor.ndim)))[None]
+    acc = tensor.transpose(tuple(order) + tuple(range(len(order), tensor.ndim)))[None, None]
     shape = []
     for j in range(copies):  # acc: (grid points of the copies done, slots left)
+        acc = acc.reshape((-1,) + acc.shape[2:])  # first, so the output is never copied
         q = pattern.count(j)
         if q:
             acc = np.moveaxis(_contract(np.moveaxis(acc, 0, -1), [grid] * q), -1, 0)
         else:
             acc = acc[:, None]
         shape.append(acc.shape[1])
-        acc = acc.reshape((-1,) + acc.shape[2:])
-    return acc.reshape(tuple(shape) + acc.shape[1:])
+    return acc.reshape(tuple(shape) + acc.shape[2:])
 
 
 def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
@@ -138,14 +153,17 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
         feats, contracted, copies = counts @ feats, [(0,) * k], 1
     idx = np.indices((probs.size,) * n).reshape(n, -1).T  # row states of every column
     grid, grid_probs = feats[idx].reshape(len(idx), -1), probs[idx].prod(axis=1)
-    values = sum(_grid_contract(tensor, grid, p, copies) for p in contracted)
-    values = values + len(patterns) * math.perm(n, k) * np.asarray(const)
+    values = functools.reduce(np.add, (_grid_contract(tensor, grid, p, copies)
+                                       for p in contracted))
+    values += len(patterns) * math.perm(n, k) * np.asarray(const)  # a new array: add in place
     dims = values.shape[copies:]
-    values = np.broadcast_to(values, (len(grid),) * copies + dims).reshape((-1,) + dims)
-    probs = functools.reduce(np.multiply.outer, [grid_probs] * copies).ravel()
-    if abs(float(probs.sum()) - 1.0) > 1e-9:  # a bug here, not a bad input
-        raise RuntimeError(f"exact law of {spec.mode} has total mass {probs.sum()!r}")
-    return aggregate_law(batch_norm(values, spec.norm_kind, kf.dim), probs)
+    values = np.broadcast_to(values, (len(grid),) * copies + dims)
+    rows = max(1, _CHUNK // len(grid) ** (copies - 1))  # first-copy grid rows per block
+    rest = [grid_probs] * (copies - 1)
+    return _aggregate(((batch_norm(values[a:a + rows].reshape((-1,) + dims),
+                                   spec.norm_kind, kf.dim),
+                        functools.reduce(np.multiply.outer, [grid_probs[a:a + rows]] + rest))
+                       for a in range(0, len(grid), rows)), spec.mode)
 
 
 @dataclass(frozen=True)
@@ -178,29 +196,24 @@ def clopper_pearson(successes: int, trials: int):
 
 
 def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
-                    trials: int, seed: int) -> np.ndarray:
-    """Draw (trials, n, copies) sample matrices with a Philox counter generator."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((trials, n, copies))
-    cum = np.cumsum(dist.probs_array())
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, dist.size - 1)
-    return dist.values_array()[idx]
+                    trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw (trials, n, copies) sample matrices from `rng`."""
+    idx = np.cumsum(dist.probs_array()).searchsorted(rng.random((trials, n, copies)), "right")
+    return dist.values_array()[np.minimum(idx, dist.size - 1)]
 
 
 def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,
             trials: int, seed: int) -> list[TailEstimate]:
-    """Monte Carlo tail estimates with Clopper-Pearson intervals."""
+    """Monte Carlo tail estimates with Clopper-Pearson intervals; a NaN norm is no hit."""
     if trials < MIN_TRIALS:
         raise ValidationError(f"trials must be >= {MIN_TRIALS}")
-    samples = sample_matrices(dist, spec.kernel.n, spec.copies_needed, trials, seed)
-    norms = evaluate_norms(spec, samples)
-    out = []
-    for t in t_grid:
-        hits = int(np.count_nonzero(norms >= t))
-        lo, hi = clopper_pearson(hits, trials)
-        out.append(TailEstimate(float(t), hits / trials, lo, hi))
-    return out
+    rng, hits = np.random.Generator(np.random.Philox(key=seed)), 0  # one for all chunks
+    for done in range(0, trials, _CHUNK):
+        norms = np.sort(evaluate_norms(spec, sample_matrices(  # NaNs sort last
+            dist, spec.kernel.n, spec.copies_needed, min(_CHUNK, trials - done), rng)))
+        hits = hits + np.searchsorted(norms, np.nan) - np.searchsorted(norms, t_grid)
+    return [TailEstimate(float(t), h / trials, *clopper_pearson(h, trials))
+            for t, h in zip(t_grid, hits.tolist())]
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,8 @@ def verify_moment_comparison(coeffs, n: int, degree: int,
     """
     bound = 3.0 ** (degree / 2.0)
     if kind == "rademacher":
+        if bad := [key for key, a in coeffs.items() if np.ndim(a)]:  # a scalar chaos bound
+            raise ValidationError(f"coefficient {bad[0]} is not a scalar")
         variants = [sign_chaos_values(coeffs, n, x0=x0)]
     elif kind == "centered-selector":
         if l is None or l < 1:

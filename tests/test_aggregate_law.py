@@ -1,8 +1,8 @@
 """aggregate_law against the np.unique + np.add.at body it replaced.
 
 The reference below is that body, kept verbatim: np.unique(return_inverse=True)
-finds the support and np.add.at adds each point's probabilities.  The sort and
-bincount form must give the same law bit for bit, and hold less memory.
+finds the support and np.add.at adds each point's probabilities.  Aggregating
+block by block must give the same law bit for bit, and hold less memory.
 """
 
 import tracemalloc

@@ -219,7 +219,8 @@ def test_mc_tail_deterministic():
 
 
 def test_sample_matrices_shape_and_support():
-    s = sample_matrices(uniform(3), 4, 2, trials=500, seed=1)
+    rng = np.random.Generator(np.random.Philox(key=1))
+    s = sample_matrices(uniform(3), 4, 2, trials=500, rng=rng)
     assert s.shape == (500, 4, 2)
     assert set(np.unique(s)) <= {-1.0, 0.0, 1.0}
 

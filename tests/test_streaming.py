@@ -1,0 +1,166 @@
+"""Streamed exact laws and chunked Monte Carlo tails against one-shot bodies.
+
+The references below are the one-shot bodies the streamed code replaced,
+kept here: exact_law built every realization's norm and probability at once
+and aggregated them with one sort and one bincount; mc_tail drew every trial
+from one Philox call and counted hits with count_nonzero.  Laws aggregated
+block by block and tails counted chunk by chunk must equal them bit for bit,
+in memory bounded by the chunk.
+"""
+
+import functools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from decoupling_lab import prob_engine
+from decoupling_lab.errors import ValidationError
+from decoupling_lab.kernel import (KernelFamily, _cell_tensor, first_argument_kernel,
+                                   random_coefficient_kernel)
+from decoupling_lab.prob_engine import (_VALUE_DECIMALS, DiscreteLaw, StatisticSpec,
+                                        TailEstimate, _count_vectors, _grid_contract,
+                                        aggregate_law, clopper_pearson, evaluate_norms,
+                                        exact_law, mc_tail)
+from decoupling_lab.value_space import batch_norm, rademacher, uniform
+
+CHUNK = prob_engine._CHUNK
+
+
+def one_shot_law(values, probs) -> DiscreteLaw:
+    v = np.round(np.asarray(values, dtype=float), _VALUE_DECIMALS).ravel()
+    s = np.sort(v)  # support: each value unequal to a non-NaN predecessor (NaNs last)
+    uniq = np.append(s[:1], s[1:][(s[1:] != s[:-1]) & (s[:-1] == s[:-1])])
+    agg = np.bincount(np.searchsorted(uniq, v), weights=np.ravel(probs), minlength=uniq.size)
+    keep = agg > 0
+    return DiscreteLaw(uniq[keep], agg[keep] / agg.sum())
+
+
+def one_shot_exact_law(spec, dist) -> DiscreteLaw:
+    kf = spec.kernel
+    n, k = kf.n, kf.k
+    tensor, feats, const = _cell_tensor(kf, dist.values_array())
+    probs, patterns, copies = dist.probs_array(), spec.patterns(), spec.copies_needed
+    contracted = patterns
+    if spec.mode == "mixed":
+        counts, probs = _count_vectors(probs, spec.l)
+        feats, contracted, copies = counts @ feats, [(0,) * k], 1
+    idx = np.indices((probs.size,) * n).reshape(n, -1).T
+    grid, grid_probs = feats[idx].reshape(len(idx), -1), probs[idx].prod(axis=1)
+    values = sum(_grid_contract(tensor, grid, p, copies) for p in contracted)
+    values = values + len(patterns) * math.perm(n, k) * np.asarray(const)
+    dims = values.shape[copies:]
+    values = np.broadcast_to(values, (len(grid),) * copies + dims).reshape((-1,) + dims)
+    probs = functools.reduce(np.multiply.outer, [grid_probs] * copies).ravel()
+    return one_shot_law(batch_norm(values, spec.norm_kind, kf.dim), probs)
+
+
+def one_shot_mc_tail(spec, dist, t_grid, trials, seed) -> list[TailEstimate]:
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((trials, spec.kernel.n, spec.copies_needed))
+    cum = np.cumsum(dist.probs_array())
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), dist.size - 1)
+    norms = evaluate_norms(spec, dist.values_array()[idx])
+    out = []
+    for t in t_grid:
+        hits = int(np.count_nonzero(norms >= t))
+        lo, hi = clopper_pearson(hits, trials)
+        out.append(TailEstimate(float(t), hits / trials, lo, hi))
+    return out
+
+
+def as_rows(estimates) -> np.ndarray:
+    return np.array([[e.t, e.p_hat, e.ci_low, e.ci_high] for e in estimates])
+
+
+def assert_same_law(got, want):
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+    assert np.array_equal(got.probs, want.probs)
+
+
+def _specs():
+    kernels = [random_coefficient_kernel(2, 3, seed=4, symmetric=True),
+               random_coefficient_kernel(2, 3, seed=5, dim=2),
+               first_argument_kernel(2, 3)]
+    for kf in kernels:
+        yield StatisticSpec(kf, "coupled")
+        yield StatisticSpec(kf, "pattern", pattern=(0, 1))
+        yield StatisticSpec(kf, "pattern", pattern=(1, 1))
+        yield StatisticSpec(kf, "mixed", l=2)
+        yield StatisticSpec(kf, "mixed", l=3, norm_kind="maximum")
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("spec", list(_specs()),
+                         ids=lambda s: f"{s.kernel.label}-{s.mode}-{s.pattern or s.l}")
+def test_streamed_exact_law_matches_one_shot(monkeypatch, chunk, spec):
+    monkeypatch.setattr(prob_engine, "_CHUNK", chunk)  # a support merge on every block
+    for dist in (rademacher(), uniform(3)):
+        assert_same_law(exact_law(spec, dist), one_shot_exact_law(spec, dist))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_aggregate_law_in_blocks_matches_one_shot(monkeypatch, chunk):
+    monkeypatch.setattr(prob_engine, "_CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    values = rng.integers(-9, 10, 500) * 0.37
+    values[[3, 250, 499]] = np.nan
+    probs = rng.random(values.size)
+    assert_same_law(aggregate_law(values, probs), one_shot_law(values, probs))
+
+
+@pytest.mark.parametrize("values, probs", [(np.ones(CHUNK), np.ones(2 * CHUNK)),
+                                           (np.ones(5), np.ones(4)),
+                                           (np.ones((2, 3)), np.ones(5))])
+def test_aggregate_law_refuses_sizes_that_differ(values, probs):
+    with pytest.raises(ValidationError, match="values for"):
+        aggregate_law(values, probs)
+
+
+@pytest.mark.parametrize("trials", [100, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+@pytest.mark.parametrize("kf", [random_coefficient_kernel(2, 4, seed=2, symmetric=True),
+                                first_argument_kernel(2, 4)], ids=["fast", "callable"])
+def test_chunked_mc_tail_matches_one_shot(trials, kf):
+    spec = StatisticSpec(kf, "pattern", pattern=(0, 1))
+    grid = np.linspace(0.0, 12.0, 25)
+    got = mc_tail(spec, uniform(3), grid, trials, seed=11)
+    assert np.array_equal(as_rows(got), as_rows(one_shot_mc_tail(spec, uniform(3), grid,
+                                                                 trials, seed=11)))
+
+
+def test_mc_tail_never_counts_a_nan_norm():
+    def ev(idx, args):  # NaN whenever the first argument is the atom 1
+        x = np.asarray(args[0], dtype=float)
+        return np.where(x == 1.0, np.nan, x * args[1])
+    spec = StatisticSpec(KernelFamily(2, 3, ev), "coupled")
+    grid = [0.0, 1.0, 2.0]
+    got = mc_tail(spec, uniform(3), grid, 2 * CHUNK + 5, seed=3)
+    assert np.array_equal(as_rows(got), as_rows(one_shot_mc_tail(spec, uniform(3), grid,
+                                                                 2 * CHUNK + 5, seed=3)))
+    assert 0.0 < got[0].p_hat < 1.0  # every norm is >= 0: the misses are the NaNs
+
+
+def _peak_bytes(fn) -> int:
+    fn()  # warm up any lazily allocated state
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_tail_memory_is_bounded_by_the_chunk():
+    spec = StatisticSpec(first_argument_kernel(2, 4), "pattern", pattern=(0, 1))
+    grid = [0.5, 1.5]
+    small = _peak_bytes(lambda: mc_tail(spec, uniform(3), grid, 10 ** 4, seed=1))
+    large = _peak_bytes(lambda: mc_tail(spec, uniform(3), grid, 10 ** 5, seed=1))
+    assert large <= 1.5 * small
+
+
+def test_exact_law_holds_one_float_per_realization():
+    # 4^10 = 2^20 realizations: the contraction output is 8 MiB
+    spec = StatisticSpec(random_coefficient_kernel(2, 5, seed=0, symmetric=True),
+                         "pattern", pattern=(0, 1))
+    assert _peak_bytes(lambda: exact_law(spec, uniform(4))) <= 16 * 2 ** 20

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decoupling_lab import verifier
-from decoupling_lab.errors import BudgetExceededError, SymmetryError
+from decoupling_lab.errors import BudgetExceededError, SymmetryError, ValidationError
 from decoupling_lab.kernel import (check_symmetry, constant_kernel,
                                    first_argument_kernel, product_kernel,
                                    random_coefficient_kernel)
@@ -142,6 +142,12 @@ def test_moment_comparison_rademacher():
     rep = verify_moment_comparison({(0, 1): 1.0}, 2, 2, "rademacher")
     assert rep.rows[0].lhs == pytest.approx(1.0)
     assert rep.rows[0].rhs == pytest.approx(3.0)
+
+
+def test_moment_comparison_rademacher_refuses_vector_coefficients():
+    # 3^(d/2) bounds scalar chaos; a vector coefficient is named, not summed
+    with pytest.raises(ValidationError, match=r"coefficient \(0,\) is not a scalar"):
+        verify_moment_comparison({(0,): [1, 2], (1,): [0, 1]}, 2, 1, "rademacher")
 
 
 def test_moment_comparison_centered_selector():
