@@ -4,8 +4,9 @@ A statistic is a `ustat_engine.StatisticSpec`, which names, validates and
 evaluates it; this module computes the law of its norm.  Exact laws by
 column-grid contraction; mixed laws on per-row count vectors.
 Either way the law covers every sample-matrix realization exactly.  Monte
-Carlo tails use a counter-based (Philox) generator so that identical
-(seed, spec) inputs give bit-identical output regardless of scheduling.
+Carlo tails and support counts draw from a counter-based (Philox) generator,
+so identical (seed, spec) inputs give bit-identical output regardless of
+scheduling.
 kappa is exact in every dimension, a minimum over finitely many directions.
 """
 
@@ -202,18 +203,39 @@ def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
     return dist.values_array()[np.minimum(idx, dist.size - 1)]
 
 
+def _mc_norms(spec: StatisticSpec, dist: DiscreteDistribution, trials: int, seed: int):
+    """Norms of `trials` sampled statistics, _CHUNK at a time, from one Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=seed))  # one for all chunks
+    for done in range(0, trials, _CHUNK):
+        yield evaluate_norms(spec, sample_matrices(
+            dist, spec.kernel.n, spec.copies_needed, min(_CHUNK, trials - done), rng))
+
+
 def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,
             trials: int, seed: int) -> list[TailEstimate]:
     """Monte Carlo tail estimates with Clopper-Pearson intervals; a NaN norm is no hit."""
     if trials < MIN_TRIALS:
         raise ValidationError(f"trials must be >= {MIN_TRIALS}")
-    rng, hits = np.random.Generator(np.random.Philox(key=seed)), 0  # one for all chunks
-    for done in range(0, trials, _CHUNK):
-        norms = np.sort(evaluate_norms(spec, sample_matrices(  # NaNs sort last
-            dist, spec.kernel.n, spec.copies_needed, min(_CHUNK, trials - done), rng)))
+    hits = 0
+    for norms in _mc_norms(spec, dist, trials, seed):
+        norms = np.sort(norms)  # NaNs sort last
         hits = hits + np.searchsorted(norms, np.nan) - np.searchsorted(norms, t_grid)
     return [TailEstimate(float(t), h / trials, *clopper_pearson(h, trials))
             for t, h in zip(t_grid, hits.tolist())]
+
+
+def _mc_counts(spec: StatisticSpec, dist: DiscreteDistribution, law: DiscreteLaw,
+               trials: int, seed: int):
+    """Sampled norms, rounded as laws are aggregated, that land on each support
+    point of `law`, and the number that land on none (a NaN lands on a NaN point)."""
+    counts, off = np.zeros(law.values.size, dtype=np.int64), 0
+    for norms in _mc_norms(spec, dist, trials, seed):
+        v = np.round(norms, _VALUE_DECIMALS)
+        at = np.searchsorted(law.values, v)
+        on = at != np.searchsorted(law.values, v, "right")
+        counts += np.bincount(at[on], minlength=law.values.size)
+        off += v.size - int(np.count_nonzero(on))
+    return counts, off
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from . import kernel as kmod, randomization as rz, ustat_engine as ue
 from .errors import BudgetExceededError, SymmetryError, ValidationError
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient)
-from .prob_engine import (MIN_TRIALS, DiscreteLaw, aggregate_law, exact_law, kappa,
-                          mc_tail, moment, support_grid, tail)
+from .prob_engine import (MIN_TRIALS, DiscreteLaw, _mc_counts, aggregate_law, exact_law,
+                          kappa, moment)
 from .randomization import all_sign_vectors, all_choice_vectors
 from .ustat_engine import StatisticSpec
 from .value_space import (DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm,
@@ -41,6 +41,7 @@ IDENTITY_TOL = 1e-12
 # and lemma3 instance would pass, since a finite constant nearly always exists.
 C_CEILING = float(2 ** 20)
 DISTRIBUTIONAL_BUDGET = 2 ** 20  # joint assignments one distributional check may list
+MC_ALPHA = 1e-9  # chance that mc_consistency fails a correct build, per campaign
 NOT_RUN_BUDGET = "every instance exceeds the enumeration budget"
 NOT_RUN_CONFIG = "no instance of the configured corpus applies"
 
@@ -544,8 +545,43 @@ def _search(direction, cfg, instances, law_of, **_):
                           kf.n, kf.k, l, rows, res.c_min)
 
 
+def _kl_threshold(m: int, level: float) -> float:
+    """The x > m - 1 with e^-x (e x / (m - 1))^(m - 1) = level.
+
+    N draws from a law on m points have empirical law q with
+    P(N KL(q || law) >= x) <= e^-x (e x / (m - 1))^(m - 1) for every x > m - 1
+    (R. Agrawal, IEEE Trans. Inf. Theory 2020), so G = N KL(q || law) reaches
+    this x with probability at most `level`.
+    """
+    d, c = m - 1, -math.log(level)
+    if d == 0:  # one point: G is 0
+        return c
+
+    def excess(x):  # log(bound(x) / level), concave and falling for x > d
+        return d + d * math.log(x / d) - x + c
+
+    x = d + c
+    while excess(x) > 0:
+        x *= 2
+    for _ in range(64):  # Newton's steps from the right of the root stay right of it
+        step = excess(x) / (d / x - 1)
+        x -= step
+        if abs(step) <= 1e-12 * x:
+            break
+    return x
+
+
+def _kl_statistic(counts, probs, draws: int):
+    """draws * KL(counts / draws || probs) over the last axis, 0 log 0 taken as 0."""
+    return np.sum(counts * np.log(np.maximum(counts, 1) / (draws * probs)), axis=-1)
+
+
 def _mc_consistency(cfg, instances, law_of, **_):
-    covered = total = 0
+    """Bins the Monte Carlo draws of every third instance's pattern (0..k-1) law on
+    its exact support; a draw off the support fails, and so does a law whose
+    G = N KL(draws || law) reaches _kl_threshold at level MC_ALPHA / (laws gated),
+    so a correct build fails with probability at most MC_ALPHA."""
+    gated, off = [], 0  # (G, support size) per law
     for i in range(0, len(instances), 3):
         inst, dist, kf = instances[i]
         spec = StatisticSpec(kf, "pattern", pattern=tuple(range(kf.k)),
@@ -555,14 +591,15 @@ def _mc_consistency(cfg, instances, law_of, **_):
         except BudgetExceededError as e:
             yield Skip(inst, str(e))
             continue
-        grid = support_grid(law)
-        ests = mc_tail(spec, dist, grid, cfg.mc_trials, seed=cfg.seed + i)
-        for t, est in zip(grid, ests):
-            total += 1
-            covered += est.ci_low - 1e-12 <= tail(law, float(t)) <= est.ci_high + 1e-12
-    if total:
-        yield Outcome("corpus", covered / total >= 0.95,
-                      {"coverage": covered / total, "points": total})
+        counts, missed = _mc_counts(spec, dist, law, cfg.mc_trials, seed=cfg.seed + i)
+        gated.append((float(_kl_statistic(counts, law.probs, cfg.mc_trials)),
+                      law.values.size))
+        off += missed
+    if gated:
+        ratio = max(g / _kl_threshold(m, MC_ALPHA / len(gated)) for g, m in gated)
+        yield Outcome("corpus", off == 0 and ratio < 1.0,
+                      {"alpha": MC_ALPHA, "laws": len(gated), "off_support": off,
+                       "worst_ratio": ratio})
 
 
 _SEARCHES = {"theorem1_upper": "upper", "theorem1_lower": "lower", "lemma3": "lemma3"}

@@ -5,7 +5,8 @@ kept here: exact_law built every realization's norm and probability at once
 and aggregated them with one sort and one bincount; mc_tail drew every trial
 from one Philox call and counted hits with count_nonzero.  Laws aggregated
 block by block and tails counted chunk by chunk must equal them bit for bit,
-in memory bounded by the chunk.
+in memory bounded by the chunk.  The support counts mc_consistency gates must
+equal the hits of the same one-shot draws at every support point.
 """
 
 import functools
@@ -21,8 +22,8 @@ from decoupling_lab.kernel import (KernelFamily, _cell_tensor, first_argument_ke
                                    random_coefficient_kernel)
 from decoupling_lab.prob_engine import (_VALUE_DECIMALS, DiscreteLaw, StatisticSpec,
                                         TailEstimate, _count_vectors, _grid_contract,
-                                        aggregate_law, clopper_pearson, evaluate_norms,
-                                        exact_law, mc_tail)
+                                        _mc_counts, aggregate_law, clopper_pearson,
+                                        evaluate_norms, exact_law, mc_tail)
 from decoupling_lab.value_space import batch_norm, rademacher, uniform
 
 CHUNK = prob_engine._CHUNK
@@ -56,12 +57,16 @@ def one_shot_exact_law(spec, dist) -> DiscreteLaw:
     return one_shot_law(batch_norm(values, spec.norm_kind, kf.dim), probs)
 
 
-def one_shot_mc_tail(spec, dist, t_grid, trials, seed) -> list[TailEstimate]:
+def one_shot_norms(spec, dist, trials, seed) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((trials, spec.kernel.n, spec.copies_needed))
     cum = np.cumsum(dist.probs_array())
     idx = np.minimum(np.searchsorted(cum, u, side="right"), dist.size - 1)
-    norms = evaluate_norms(spec, dist.values_array()[idx])
+    return evaluate_norms(spec, dist.values_array()[idx])
+
+
+def one_shot_mc_tail(spec, dist, t_grid, trials, seed) -> list[TailEstimate]:
+    norms = one_shot_norms(spec, dist, trials, seed)
     out = []
     for t in t_grid:
         hits = int(np.count_nonzero(norms >= t))
@@ -129,16 +134,46 @@ def test_chunked_mc_tail_matches_one_shot(trials, kf):
                                                                  trials, seed=11)))
 
 
+def _nan_on_atom_1(idx, args):  # NaN whenever the first argument is the atom 1
+    x = np.asarray(args[0], dtype=float)
+    return np.where(x == 1.0, np.nan, x * args[1])
+
+
 def test_mc_tail_never_counts_a_nan_norm():
-    def ev(idx, args):  # NaN whenever the first argument is the atom 1
-        x = np.asarray(args[0], dtype=float)
-        return np.where(x == 1.0, np.nan, x * args[1])
-    spec = StatisticSpec(KernelFamily(2, 3, ev), "coupled")
+    spec = StatisticSpec(KernelFamily(2, 3, _nan_on_atom_1), "coupled")
     grid = [0.0, 1.0, 2.0]
     got = mc_tail(spec, uniform(3), grid, 2 * CHUNK + 5, seed=3)
     assert np.array_equal(as_rows(got), as_rows(one_shot_mc_tail(spec, uniform(3), grid,
                                                                  2 * CHUNK + 5, seed=3)))
     assert 0.0 < got[0].p_hat < 1.0  # every norm is >= 0: the misses are the NaNs
+
+
+@pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("kf", [random_coefficient_kernel(2, 4, seed=2, symmetric=True),
+                                first_argument_kernel(2, 4)], ids=["fast", "callable"])
+def test_support_counts_match_one_shot_hits(trials, kf):
+    spec = StatisticSpec(kf, "pattern", pattern=(0, 1))
+    law = exact_law(spec, uniform(3))
+    rounded = np.round(one_shot_norms(spec, uniform(3), trials, seed=11), _VALUE_DECIMALS)
+    hits = [np.count_nonzero(rounded == v) for v in law.values]
+    counts, off = _mc_counts(spec, uniform(3), law, trials, seed=11)
+    assert counts.tolist() == hits and off == 0 and sum(hits) == trials
+    # without its most likely point the law misses exactly that point's draws
+    top = int(np.argmax(law.probs))
+    keep = np.arange(law.values.size) != top
+    short = DiscreteLaw(law.values[keep], law.probs[keep] / law.probs[keep].sum())
+    counts, off = _mc_counts(spec, uniform(3), short, trials, seed=11)
+    assert counts.tolist() == hits[:top] + hits[top + 1:] and off == hits[top] > 0
+
+
+def test_support_counts_land_a_nan_norm_on_a_nan_point():
+    spec = StatisticSpec(KernelFamily(2, 3, _nan_on_atom_1), "coupled")
+    norms = one_shot_norms(spec, uniform(3), CHUNK + 1, seed=3)
+    law = aggregate_law(norms, np.ones(norms.size))  # every drawn point, NaN last
+    counts, off = _mc_counts(spec, uniform(3), law, CHUNK + 1, seed=3)
+    assert np.isnan(law.values[-1]) and off == 0
+    assert counts[-1] == np.count_nonzero(np.isnan(norms)) > 0
+    assert np.array_equal(counts / counts.sum(), law.probs)
 
 
 def _peak_bytes(fn) -> int:
