@@ -31,7 +31,8 @@ class KernelFamily:
     """Family f_{i_1...i_k} of k-argument functions on sample values.
 
     `evaluate(idx, args)` takes a tuple of k distinct 0-based indices and a
-    tuple of k argument arrays; it must be deterministic and reentrant.
+    tuple of k argument arrays, which may differ in shape and must broadcast;
+    it must be deterministic and reentrant.
 
     A multilinear-plus-constant kernel may also carry `coeffs`, of shape (n,)*k
     (plus (dim,) when dim > 1) and zero off the distinct-index set, and `const`:
@@ -122,7 +123,7 @@ def check_symmetry(kf: KernelFamily, dist: DiscreteDistribution) -> bool:
 def _delta_table(k: int):
     deltas = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.int64)
     signs = np.where((k - deltas.sum(axis=1)) % 2 == 0, 1, -1)
-    return deltas, signs
+    return (1 - deltas) @ (1 << np.arange(k)), signs  # the entries each delta zeroes
 
 
 def mazur_orlicz_coefficient(j_tuple):
@@ -135,10 +136,11 @@ def mazur_orlicz_coefficient(j_tuple):
     k = j.shape[-1]
     if np.any((j < 0) | (j >= k)):
         raise ValidationError(f"entries of {j.tolist()} must lie in 0..{k - 1}")
-    deltas, signs = _delta_table(k)
+    used = np.bitwise_or.reduce(1 << j, axis=-1)  # the entries of each tuple, as a bitmask
+    zeroed, signs = _delta_table(k)
     total = np.zeros(j.shape[:-1], dtype=np.int64)
-    for delta, sign in zip(deltas, signs):  # one selector vector at a time
-        total += sign * delta[j].prod(axis=-1)
+    for z, sign in zip(zeroed, signs):  # one selector vector at a time
+        total += sign * ((used & z) == 0)  # the product of delta over the tuple's entries
     return int(total) if j.ndim == 1 else total
 
 

@@ -139,6 +139,8 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
     realization by realization.  A mixed statistic sees a row only through the
     atom counts of its l copies: one coupled contraction on the grid of per-row
     count vectors.  `budget` caps m^(n*copies), whatever grid is contracted.
+    A callable kernel not finite on the atoms is refused: the contraction would
+    multiply its NaN by zero one-hot features and spread it to every realization.
     """
     kf = spec.kernel
     n, k, m = kf.n, kf.k, dist.size
@@ -147,6 +149,8 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
         raise BudgetExceededError(
             f"{m}^{cells} = {m ** cells} realizations exceeds budget {budget}")
     tensor, feats, const = _cell_tensor(kf, dist.values_array())
+    if kf.coeffs is None and not np.all(np.isfinite(tensor)):
+        raise ValidationError(f"kernel {kf.label} is not finite on the atoms")
     probs, patterns, copies = dist.probs_array(), spec.patterns(), spec.copies_needed
     contracted = patterns
     if spec.mode == "mixed":  # all l^k patterns at once, on per-row counts
@@ -198,9 +202,13 @@ def clopper_pearson(successes: int, trials: int):
 
 def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
                     trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw (trials, n, copies) sample matrices from `rng`."""
-    idx = np.cumsum(dist.probs_array()).searchsorted(rng.random((trials, n, copies)), "right")
-    return dist.values_array()[np.minimum(idx, dist.size - 1)]
+    """Draw (trials, n, copies) sample matrices from `rng`; a uniform draw u picks
+    the atom whose index counts the CDF edges, all but the last, that u reaches."""
+    u = rng.random((trials, n, copies))
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for edge in np.cumsum(dist.probs_array())[:-1]:
+        idx += u >= edge
+    return dist.values_array()[idx]
 
 
 def _mc_norms(spec: StatisticSpec, dist: DiscreteDistribution, trials: int, seed: int):

@@ -9,8 +9,8 @@ Each statistic is defined once, by a `StatisticSpec`: validated when built,
 summed when called on samples; the public sums are spec calls.  Every sum goes
 through one core, `slot_sum`.  A kernel that carries a coefficient tensor is
 summed by one tensor contraction (fast path).  Any other kernel is called once
-per copy pattern and index tuple, in lexicographic order, and the terms are
-accumulated in place (generic path).
+per index tuple, in lexicographic order, on all copy patterns at once (one
+broadcast axis per slot), and the pattern sums are added at the end (generic path).
 """
 
 from __future__ import annotations
@@ -61,16 +61,21 @@ def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray
                           [w[..., list(sl)].sum(axis=-1) for sl, w in zip(slots, weights)])
         const = np.broadcast_to(kf.const, kf.coeffs.shape[k:])  # () or (dim,)
         return _contract(kf.coeffs, cols) + np.multiply.outer(count, const)
-    shapes = [s.shape[:-2]] + [w.shape[:-2] for w in weights or ()]
-    acc = np.zeros(np.broadcast_shapes(*shapes) + ((kf.dim,) if kf.dim > 1 else ()))
-    for j in itertools.product(*slots):
-        for idx in distinct_tuples(kf.n, k):
-            term = kf.evaluate(idx, tuple(s[..., idx[r], j[r]] for r in range(k)))
-            if weights is not None:
-                w = math.prod(weights[r][..., idx[r], j[r]] for r in range(k))
-                term = term * (w[..., None] if kf.dim > 1 else w)
-            acc += term
-    return acc
+    sizes = tuple(len(sl) for sl in slots)
+    def spread(a, r):  # (n, ..., copies of slots[r] on pattern axis r, 1 on the others)
+        return np.moveaxis(a[..., list(slots[r])], -2, 0).reshape(
+            (kf.n,) + a.shape[:-2] + (1,) * r + (sizes[r],) + (1,) * (k - 1 - r))
+    cols = [spread(s, r) for r in range(k)]
+    ws = [spread(w, r) for r, w in enumerate(weights or ())]
+    batch = np.broadcast_shapes(s.shape[:-2], *[w.shape[:-2] for w in weights or ()])
+    acc = np.zeros(batch + sizes + ((kf.dim,) if kf.dim > 1 else ()))
+    for idx in distinct_tuples(kf.n, k):  # every copy pattern at once, on the pattern axes
+        term = kf.evaluate(idx, tuple(cols[r][idx[r]] for r in range(k)))
+        if weights is not None:
+            w = math.prod(ws[r][idx[r]] for r in range(k))
+            term = term * (w[..., None] if kf.dim > 1 else w)
+        acc += term
+    return acc.sum(axis=tuple(range(len(batch), len(batch) + k)))
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,18 @@ def test_support_counts_match_one_shot_hits(trials, kf):
     assert counts.tolist() == hits[:top] + hits[top + 1:] and off == hits[top] > 0
 
 
+@pytest.mark.parametrize("mode,args", [("coupled", {}), ("pattern", {"pattern": (0, 1)}),
+                                       ("mixed", {"l": 2})])
+def test_exact_law_refuses_a_kernel_with_a_nan_on_an_atom(mode, args):
+    # the contraction would multiply the NaN cells by zero one-hot features and return
+    # {NaN: 1}, while sampled norms are NaN only on the draws that read the atom 1
+    spec = StatisticSpec(KernelFamily(2, 3, _nan_on_atom_1), mode, **args)
+    with pytest.raises(ValidationError, match="not finite"):
+        exact_law(spec, uniform(3))
+    law = exact_law(spec, uniform(2))  # atoms -0.5 and 0.5: finite, so a law
+    assert np.all(np.isfinite(law.values))
+
+
 def test_support_counts_land_a_nan_norm_on_a_nan_point():
     spec = StatisticSpec(KernelFamily(2, 3, _nan_on_atom_1), "coupled")
     norms = one_shot_norms(spec, uniform(3), CHUNK + 1, seed=3)
