@@ -139,8 +139,7 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
     realization by realization.  A mixed statistic sees a row only through the
     atom counts of its l copies: one coupled contraction on the grid of per-row
     count vectors.  `budget` caps m^(n*copies), whatever grid is contracted.
-    A callable kernel not finite on the atoms is refused: the contraction would
-    multiply its NaN by zero one-hot features and spread it to every realization.
+    A kernel without coeffs must be finite on the atoms: one NaN would reach every realization.
     """
     kf = spec.kernel
     n, k, m = kf.n, kf.k, dist.size
@@ -202,13 +201,9 @@ def clopper_pearson(successes: int, trials: int):
 
 def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
                     trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw (trials, n, copies) sample matrices from `rng`; a uniform draw u picks
-    the atom whose index counts the CDF edges, all but the last, that u reaches."""
-    u = rng.random((trials, n, copies))
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for edge in np.cumsum(dist.probs_array())[:-1]:
-        idx += u >= edge
-    return dist.values_array()[idx]
+    """Draw (trials, n, copies) sample matrices from `rng`, by inverse CDF lookup."""
+    edges = np.cumsum(dist.probs_array())[:-1]
+    return dist.values_array()[edges.searchsorted(rng.random((trials, n, copies)), "right")]
 
 
 def _mc_norms(spec: StatisticSpec, dist: DiscreteDistribution, trials: int, seed: int):

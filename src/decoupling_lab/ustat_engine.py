@@ -10,7 +10,8 @@ summed when called on samples; the public sums are spec calls.  Every sum goes
 through one core, `slot_sum`.  A kernel that carries a coefficient tensor is
 summed by one tensor contraction (fast path).  Any other kernel is called once
 per index tuple, in lexicographic order, on all copy patterns at once (one
-broadcast axis per slot), and the pattern sums are added at the end (generic path).
+broadcast axis per slot), and the pattern sums are added at the end (generic path);
+a block of more than _BLOCK values (batch x patterns x dim) is split slot by slot.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .kernel import (FACTORIAL_BUDGET, MAX_TUPLE_COUNT, KernelFamily,
 from .value_space import NORM_KINDS
 
 MODES = ("coupled", "pattern", "mixed", "not_all_equal", "symmetrized")
+_BLOCK = 2 ** 13  # generic slot_sum: values per broadcast array (more only if batch x dim is)
 
 
 def _contract(tensor: np.ndarray, cols) -> np.ndarray:
@@ -62,12 +64,15 @@ def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray
         const = np.broadcast_to(kf.const, kf.coeffs.shape[k:])  # () or (dim,)
         return _contract(kf.coeffs, cols) + np.multiply.outer(count, const)
     sizes = tuple(len(sl) for sl in slots)
+    batch = np.broadcast_shapes(s.shape[:-2], *[w.shape[:-2] for w in weights or ()])
+    if math.prod(batch + sizes) * kf.dim > _BLOCK and max(sizes) > 1:
+        r = sizes.index(max(sizes))  # one block per copy of the largest slot
+        return sum(slot_sum(kf, s, [*slots[:r], [j], *slots[r + 1:]], weights) for j in slots[r])
     def spread(a, r):  # (n, ..., copies of slots[r] on pattern axis r, 1 on the others)
         return np.moveaxis(a[..., list(slots[r])], -2, 0).reshape(
             (kf.n,) + a.shape[:-2] + (1,) * r + (sizes[r],) + (1,) * (k - 1 - r))
     cols = [spread(s, r) for r in range(k)]
     ws = [spread(w, r) for r, w in enumerate(weights or ())]
-    batch = np.broadcast_shapes(s.shape[:-2], *[w.shape[:-2] for w in weights or ()])
     acc = np.zeros(batch + sizes + ((kf.dim,) if kf.dim > 1 else ()))
     for idx in distinct_tuples(kf.n, k):  # every copy pattern at once, on the pattern axes
         term = kf.evaluate(idx, tuple(cols[r][idx[r]] for r in range(k)))

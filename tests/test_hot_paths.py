@@ -12,11 +12,12 @@ order of summation is exact), the same draws and the same coefficients.
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from decoupling_lab import kernel, prob_engine
+from decoupling_lab import kernel, prob_engine, ustat_engine
 from decoupling_lab.kernel import (KernelFamily, distinct_tuples, first_argument_kernel,
                                    mazur_orlicz_coefficient, symmetrize)
 from decoupling_lab.prob_engine import StatisticSpec, _mc_norms, sample_matrices
@@ -80,7 +81,7 @@ def _sign_weights(pattern, signs):
 
 def _cases(k, n, rng, draw):
     """(slots, samples, weights): one pattern, the sign-batched two-copy slots,
-    and all three copies on every slot."""
+    all three copies on every slot, and slots that differ."""
     pattern = tuple(r % 2 for r in range(k))
     yield [(p,) for p in pattern], draw((5, n, 2)), None
     yield [(p,) for p in pattern], draw((n, 2)), None  # no batch axis
@@ -88,11 +89,15 @@ def _cases(k, n, rng, draw):
     yield [(0, 1)] * k, draw((n, 2)), _sign_weights(pattern, signs)
     yield [(0, 1)] * k, draw((6, n, 2)), _sign_weights(pattern, signs)
     yield [range(3)] * k, draw((4, n, 3)), None
+    yield [(2, 0), (1,), (0, 2, 1)][:k], draw((3, n, 3)), None  # slots of different copies
 
 
+@pytest.mark.parametrize("block", [None, 12, 1])  # None: the default; 1 splits every slot
 @pytest.mark.parametrize("name", list(_kernels(1, 1)))
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (4, 3)])
-def test_slot_sum_matches_the_per_pattern_loop(name, n, k):
+def test_slot_sum_matches_the_per_pattern_loop(name, n, k, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(ustat_engine, "_BLOCK", block)
     kf = _kernels(k, n)[name]
     rng = np.random.default_rng(10 * n + k)
     integer = lambda shape: rng.integers(-2, 3, size=shape).astype(float)
@@ -124,6 +129,23 @@ def test_slot_sum_calls_the_kernel_once_per_index_tuple():
             calls.clear()
             slot_sum(kf, s, slots, weights)
             assert calls == list(distinct_tuples(n, k)) and len(calls) == math.perm(n, k)
+
+
+def test_slot_sum_memory_does_not_grow_with_the_patterns():
+    """A Monte Carlo chunk of a callable mixed sum with l^k = 256 patterns: the
+    broadcast block stays at _BLOCK values per array (the unsplit block was 256
+    times the chunk, 23 MB at its peak), and the sum is the unsplit one."""
+    n = k = l = 4
+    kf = KernelFamily(k, n, _max_squared)
+    spec = StatisticSpec(kf, "mixed", l=l)
+    s = np.random.default_rng(1).integers(-2, 3, size=(ustat_engine._BLOCK, n, l)).astype(float)
+    tracemalloc.start()
+    got = spec(s)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 * s.nbytes  # measured: 1.8 MB, for 1 MB of samples
+    want = per_pattern_slot_sum(kf, s[:64], [range(l)] * k)
+    assert np.array_equal(got[:64], want)
 
 
 # ---------------------------------------------------------------------------
