@@ -201,11 +201,13 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.budget <= 0:
+        raise ValidationError("enumeration budget must be positive")
     dist = named_distribution(args.dist)
     kf = build_kernel(args.kernel, args.n, args.k, seed=args.seed or 0)
     spec = StatisticSpec(kf, args.mode, pattern=tuple(range(args.k)), l=args.l,
                          norm_kind=args.norm)
-    law = exact_law(spec, dist, args.budget or DEFAULT_ENUM_BUDGET)
+    law = exact_law(spec, dist, args.budget)
     payload = {"values": law.values.tolist(), "probs": law.probs.tolist()}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--norm", default="euclidean")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_oracle)
     return parser

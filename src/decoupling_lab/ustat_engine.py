@@ -100,6 +100,8 @@ class StatisticSpec:
 
     def __post_init__(self):
         k = self.kernel.k
+        if k > self.kernel.n:
+            raise ValidationError(f"kernel order k={k} exceeds n={self.kernel.n}")
         if self.norm_kind not in NORM_KINDS:
             raise ValidationError(f"unknown norm kind {self.norm_kind!r}")
         if self.mode not in MODES:
@@ -149,8 +151,6 @@ class StatisticSpec:
         if s.shape[-1] < self.copies_needed:
             raise ValidationError(
                 f"sample has {s.shape[-1]} copies, statistic needs {self.copies_needed}")
-        if k > kf.n:
-            raise ValidationError("kernel order k exceeds n")
         if math.perm(kf.n, k) > MAX_TUPLE_COUNT:
             raise BudgetExceededError("distinct tuple count exceeds evaluation ceiling")
         if self.mode not in ("mixed", "not_all_equal"):

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import BudgetExceededError, SymmetryError, ValidationError
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient)
 from .prob_engine import (MIN_TRIALS, DiscreteLaw, _mc_counts, aggregate_law, exact_law,
-                          kappa, moment)
+                          kappa, moment, sample_matrices)
 from .randomization import all_sign_vectors, all_choice_vectors
 from .ustat_engine import StatisticSpec
 from .value_space import (DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm,
@@ -72,6 +72,7 @@ class ConstantSearchResult:
     max_slack: float
     binding: dict | None = None  # {"v", "w", "at_top"} where c_min binds, if anywhere
     row: CheckRow | None = None  # the tail comparison at t = binding v
+    c_min_scaled: float | None = None  # lemma3 only: c_min for the mixed sum / l^k
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +136,22 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchRe
                                 binding, row)
 
 
-def _search_laws(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
-                 l: int | None, norm_kind: str, law_of) -> tuple:
-    """The (left, right) exact laws search_constant compares, from law_of(spec, dist).
+def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
+                    l: int | None = None, norm_kind: str = "euclidean",
+                    law_of=None) -> ConstantSearchResult:
+    """Minimal feasible decoupling constant for one theorem direction.
 
+    upper:  coupled tail dominated by the fully decoupled tail.
+    lower:  fully decoupled tail dominated by the coupled tail
+            (requires the joint symmetry condition).
+    lemma3: l-copy mixed tail dominated by the coupled tail
+            (requires the joint symmetry condition); c_min_scaled is the
+            constant for the mixed sum divided by l^k.
+
+    Each law is law_of(spec, dist), exact_law at its default budget if None.
     The law on more copies is computed first, so a budget refusal names its
-    m^(n*copies) and comes before any law is computed."""
+    m^(n*copies) and comes before any law is computed.
+    """
     k = kf.k
     left = StatisticSpec(kf, "coupled", norm_kind=norm_kind)
     right = StatisticSpec(kf, "pattern", pattern=tuple(range(k)), norm_kind=norm_kind)
@@ -155,25 +166,14 @@ def _search_laws(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
     if direction != "upper" and not check_symmetry(kf, dist):
         raise SymmetryError(
             f"{direction}-direction search requires a symmetric kernel, got {kf.label}")
+    law_of = law_of or exact_law  # looked up here, so a wrapped exact_law is seen
     laws = {s: law_of(s, dist) for s in sorted((left, right), reverse=True,
                                                 key=lambda s: s.copies_needed)}
-    return laws[left], laws[right]
-
-
-def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
-                    l: int | None = None, norm_kind: str = "euclidean",
-                    budget: int = DEFAULT_ENUM_BUDGET) -> ConstantSearchResult:
-    """Minimal feasible decoupling constant for one theorem direction.
-
-    upper:  coupled tail dominated by the fully decoupled tail.
-    lower:  fully decoupled tail dominated by the coupled tail
-            (requires the joint symmetry condition).
-    lemma3: l-copy mixed tail dominated by the coupled tail
-            (requires the joint symmetry condition).
-    """
-    laws = _search_laws(kf, dist, direction, l, norm_kind,
-                        lambda spec, d: exact_law(spec, d, budget))
-    return minimal_constant(*laws)
+    res = minimal_constant(laws[left], laws[right])
+    if direction != "lemma3":
+        return res
+    scaled = DiscreteLaw(laws[left].values / l ** k, laws[left].probs)
+    return replace(res, c_min_scaled=minimal_constant(scaled, laws[right]).c_min)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +388,6 @@ def random_chaos_coefficients(rng, n: int, k: int, dim: int = 1) -> dict:
     return coeffs
 
 
-def draw_sample_matrix(rng, dist: DiscreteDistribution, n: int, copies: int):
-    idx = rng.choice(dist.size, size=(n, copies), p=dist.probs_array())
-    return dist.values_array()[idx]
-
-
 # Each check is a generator of Outcomes and Skips.  run_corpus passes each the
 # keywords cfg, rng, instances and law_of, and runs the checks in
 # ALL_CHECKS order, so they draw from the shared rng in that order.
@@ -423,7 +418,7 @@ def _identities(cfg, rng, instances, **_):
         if n > 6:
             continue
         copies = max(k, max(cfg.ls, default=1), 2)
-        s = draw_sample_matrix(rng, dist, n, copies)
+        s = sample_matrices(dist, n, copies, 1, rng)[0]
         worst = 0.0
         signs = rz.all_sign_vectors(n)
         for pattern in itertools.product((0, 1), repeat=k):
@@ -451,7 +446,7 @@ def _mazur_orlicz(cfg, rng, instances, **_):
     for inst, dist, kf in instances:
         if not kf.symmetric_claimed or kf.k > 4:
             continue
-        s = draw_sample_matrix(rng, dist, kf.n, kf.k)
+        s = sample_matrices(dist, kf.n, kf.k, 1, rng)[0]
         res = symmetrized_expansion_residual(kf, s, cfg.norm_kind)
         yield Outcome(inst, res <= IDENTITY_TOL, {"residual": res}, kf.n, kf.k)
 
@@ -521,25 +516,19 @@ def _moments(cfg, rng, **_):
 
 
 def _search(direction, cfg, instances, law_of, **_):
-    """Closed-form constants of one direction; lemma3 also searches the mixed
-    sum divided by l^k, the scale of the selector conditional-expectation identity."""
+    """Closed-form constants of one direction: one search_constant call per result."""
     for inst, dist, kf in instances:
         if direction != "upper" and not kf.symmetric_claimed:
             continue
         for l in range(1, kf.k + 1) if direction == "lemma3" else (None,):
             iid = inst if l is None else f"{inst}l{l}"
             try:
-                left, right = _search_laws(kf, dist, direction, l, cfg.norm_kind, law_of)
+                res = search_constant(kf, dist, direction, l, cfg.norm_kind, law_of)
             except BudgetExceededError as e:
                 yield Skip(iid, str(e))
                 continue
-            res = minimal_constant(left, right)
-            if l is None:
-                detail = {"c_min": res.c_min, "max_slack": res.max_slack}
-            else:
-                scaled = DiscreteLaw(left.values / l ** kf.k, left.probs)
-                detail = {"c_min": res.c_min, "c_min_scaled":
-                          minimal_constant(scaled, right).c_min}
+            detail = ({"c_min": res.c_min, "max_slack": res.max_slack} if l is None
+                      else {"c_min": res.c_min, "c_min_scaled": res.c_min_scaled})
             rows = () if res.row is None else (res.row,)  # the row where c_min binds
             yield Outcome(iid, res.feasible, {**detail, "binding": res.binding},
                           kf.n, kf.k, l, rows, res.c_min)

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import functools
 import itertools
 import json
 import time
@@ -20,6 +21,7 @@ from decoupling_lab.value_space import rademacher, uniform
 from decoupling_lab.verifier import CorpusConfig
 
 TOL = 1e-12
+LAW_2_22 = functools.partial(pe.exact_law, budget=2 ** 22)  # the searches' law_of
 
 
 def _report(criterion, passed, start, detail=""):
@@ -48,7 +50,7 @@ def test_criterion_1_expansion_identity():
     rng = np.random.default_rng(0)
     worst, count = 0.0, 0
     for _, dist, kf in _identity_corpus():
-        s = vf.draw_sample_matrix(rng, dist, kf.n, 2)
+        s = pe.sample_matrices(dist, kf.n, 2, 1, rng)[0]
         signs = rz.all_sign_vectors(kf.n)
         for pattern in itertools.product((0, 1), repeat=kf.k):
             res = rz.expansion_residual_batch(kf, s, signs, pattern)
@@ -63,7 +65,7 @@ def test_criterion_2_conditional_expectations():
     rng = np.random.default_rng(1)
     worst, count = 0.0, 0
     for _, dist, kf in _identity_corpus():
-        s = vf.draw_sample_matrix(rng, dist, kf.n, 3)
+        s = pe.sample_matrices(dist, kf.n, 3, 1, rng)[0]
         worst = max(worst, rz.pattern_invariance_spread(kf, s[:, :2]))
         for l in (1, 2, 3):
             ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
@@ -190,12 +192,12 @@ def test_criterion_9_theorem1_constant_search():
     ok = True
     worst = {}
     for dist_name, dist, kf in _constant_search_corpus():
-        res = vf.search_constant(kf, dist, "upper", budget=2 ** 22)
+        res = vf.search_constant(kf, dist, "upper", law_of=LAW_2_22)
         ok &= res.feasible and res.c_min < 2 ** 20
         key = ("upper", kf.k)
         worst[key] = max(worst.get(key, 1.0), res.c_min)
         if kf.symmetric_claimed:
-            res = vf.search_constant(kf, dist, "lower", budget=2 ** 22)
+            res = vf.search_constant(kf, dist, "lower", law_of=LAW_2_22)
             ok &= res.feasible and res.c_min < 2 ** 20
             key = ("lower", kf.k)
             worst[key] = max(worst.get(key, 1.0), res.c_min)
@@ -214,7 +216,7 @@ def test_criterion_10_lemma3():
         for l in range(1, kf.k + 1):
             if dist.size ** (kf.n * l) > 2 ** 21:
                 continue
-            res = vf.search_constant(kf, dist, "lemma3", l=l, budget=2 ** 22)
+            res = vf.search_constant(kf, dist, "lemma3", l=l, law_of=LAW_2_22)
             ok &= res.feasible and res.c_min < 2 ** 20
     _report(10, ok, start, "lemma3 feasible for all l in 1..k")
 

@@ -139,6 +139,18 @@ def test_cli_oracle_prints_exact_law_of_each_mode(capsys, mode):
     assert payload == {"values": law.values.tolist(), "probs": law.probs.tolist()}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "2", "--k", "3"], "k=3 exceeds n=2"),
+    (["--n", "2", "--k", "2", "--budget", "0"], "enumeration budget must be positive"),
+    (["--n", "2", "--k", "2", "--budget", "-1"], "enumeration budget must be positive"),
+])
+def test_cli_oracle_refuses_bad_input_with_exit_2(capsys, argv, message):
+    assert main(["oracle", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_oracle_bad_l_exits_2(capsys):
     assert main(["oracle", "--n", "3", "--k", "2", "--mode", "mixed", "--l", "0"]) == 2
     assert "l must be an integer >= 1" in capsys.readouterr().err

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from decoupling_lab import prob_engine
-from decoupling_lab.errors import BudgetExceededError
+from decoupling_lab.errors import BudgetExceededError, ValidationError
 from decoupling_lab.kernel import (KernelFamily, affine_product_kernel,
                                    constant_kernel, first_argument_kernel,
                                    product_kernel, random_coefficient_kernel,
@@ -103,6 +103,15 @@ def test_cell_tensor_ceiling():
     spec = StatisticSpec(first_argument_kernel(4, 33), "coupled")
     with pytest.raises(BudgetExceededError, match="cell tensor"):
         exact_law(spec, rademacher(), budget=2 ** 40)
+
+
+@pytest.mark.parametrize("mode, args", [("coupled", {}), ("pattern", {"pattern": (0, 1, 2)}),
+                                        ("mixed", {"l": 2}), ("not_all_equal", {}),
+                                        ("symmetrized", {})])
+def test_exact_law_refuses_k_above_n(mode, args):
+    # no distinct 3-tuple of 2 rows exists; the spec refuses before any law is built
+    with pytest.raises(ValidationError, match="k=3 exceeds n=2"):
+        exact_law(StatisticSpec(product_kernel(3, 2), mode, **args), rademacher())
 
 
 def test_exact_law_refuses_a_law_whose_mass_is_not_1(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -492,6 +493,62 @@ def test_run_corpus_lemma3_scaled_constant():
     expected = minimal_constant(scaled, coupled)
     assert detail["c_min_scaled"] == expected.c_min < detail["c_min"]
     assert rep["summary"]["empirical_constants"]["lemma3_scaled:k=2"] >= expected.c_min
+
+
+def test_run_corpus_searches_through_search_constant(monkeypatch):
+    # every constant search result and budget skip is one public search_constant call
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return search_constant(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "search_constant", counted)
+    cfg = CorpusConfig(distributions=("rademacher",), kernel_classes=("product", "coeff"),
+                       nk_pairs=((3, 2), (4, 3)), enum_budget=2 ** 10,
+                       checks=("theorem1_upper", "theorem1_lower", "lemma3"))
+    rep = run_corpus(cfg)
+    skipped = rep["summary"]["skipped"]
+    assert rep["results"] and skipped
+    assert len(calls) == len(rep["results"]) + len(skipped)
+    assert set(calls) == {"upper", "lower", "lemma3"}
+
+
+def test_search_constant_law_of_computes_each_spec_once():
+    kf, dist, computed = product_kernel(3, 3), rademacher(), []
+
+    @functools.cache
+    def law_of(spec, d):
+        computed.append(spec)
+        return exact_law(spec, d)
+
+    for direction, l in [("upper", None), ("lower", None),
+                         *(("lemma3", l) for l in range(1, kf.k + 1))]:
+        assert search_constant(kf, dist, direction, l, law_of=law_of).feasible
+    assert len(computed) == len(set(computed)) == kf.k + 2  # coupled, pattern, k mixed
+    assert {s.mode for s in computed} == {"coupled", "pattern", "mixed"}
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_search_constant_c_min_scaled(l):
+    kf, dist = random_coefficient_kernel(3, 3, seed=2, symmetric=True), uniform(3)
+    res = search_constant(kf, dist, "lemma3", l)
+    mixed = exact_law(StatisticSpec(kf, "mixed", l=l), dist)
+    coupled = exact_law(StatisticSpec(kf, "coupled"), dist)
+    assert res.c_min == minimal_constant(mixed, coupled).c_min
+    assert res.c_min_scaled == minimal_constant(
+        DiscreteLaw(mixed.values / l ** kf.k, mixed.probs), coupled).c_min
+    for direction in ("upper", "lower"):
+        assert search_constant(kf, dist, direction).c_min_scaled is None
+
+
+@pytest.mark.parametrize("direction, l, cells", [("upper", None, 9), ("lower", None, 9),
+                                                 ("lemma3", 2, 6), ("lemma3", 3, 9)])
+def test_search_constant_budgeted_law_of_names_the_larger_law(direction, l, cells):
+    # both laws exceed a budget of 4; the coupled law has only 2^3 realizations
+    law_of = functools.partial(exact_law, budget=4)
+    with pytest.raises(BudgetExceededError, match=rf"^2\^{cells} = {2 ** cells} realizations"):
+        search_constant(product_kernel(3, 3), rademacher(), direction, l, law_of=law_of)
 
 
 def test_run_corpus_computes_each_law_once(monkeypatch):
