@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, InvariantError, ValidationError
 from .kernel import _cell_tensor
 from .ustat_engine import StatisticSpec, _contract
 from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm
 
 _VALUE_DECIMALS = 12  # aggregation resolution for norm values
-CONFIDENCE = 0.99  # of every Clopper-Pearson interval
 MIN_TRIALS = 100  # fewest Monte Carlo trials mc_tail accepts
 KAPPA_MEAN_TOL = 1e-9  # |E Y| above this is not mean zero
 KAPPA_MAX_SUBSETS = 2 ** 16  # atom subsets kappa may take null vectors of
@@ -59,7 +58,7 @@ class DiscreteLaw:
         return np.array([self.probs[i:].sum() for i in range(self.probs.size + 1)])
 
 
-def _aggregate(blocks, mode=None) -> DiscreteLaw:
+def _aggregate(blocks, name=None) -> DiscreteLaw:
     """Collapse the rounded values of (values, probs) blocks, taken in order, into a law."""
     support, sums = np.empty(0), np.empty(0)
     for values, probs in blocks:
@@ -72,8 +71,8 @@ def _aggregate(blocks, mode=None) -> DiscreteLaw:
         at = np.searchsorted(support, new)  # where each point the support lacks goes
         support, sums = np.insert(support, at, new), np.insert(sums, at, 0.0)
         np.add.at(sums, np.searchsorted(support, v), p)
-    if mode and abs(float(sums.sum()) - 1.0) > 1e-9:  # an exact_law bug, not a bad input
-        raise RuntimeError(f"exact law of {mode} has total mass {sums.sum()!r}")
+    if name and abs(float(sums.sum()) - 1.0) > 1e-9:  # an exact_law bug, not a bad input
+        raise InvariantError(f"exact {name} has total mass {float(sums.sum())}")
     return DiscreteLaw(support[sums > 0], sums[sums > 0] / sums.sum())
 
 
@@ -167,36 +166,8 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
     return _aggregate(((batch_norm(values[a:a + rows].reshape((-1,) + dims),
                                    spec.norm_kind, kf.dim),
                         functools.reduce(np.multiply.outer, [grid_probs[a:a + rows]] + rest))
-                       for a in range(0, len(grid), rows)), spec.mode)
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    t: float
-    p_hat: float
-    ci_low: float
-    ci_high: float
-
-    def __post_init__(self):
-        if not (self.ci_low <= self.p_hat <= self.ci_high):
-            raise ValidationError("confidence interval must contain the estimate")
-
-
-def clopper_pearson(successes: int, trials: int):
-    """Exact binomial confidence interval at level CONFIDENCE."""
-    # beta.ppf's own routine; scipy.special imports far faster than SciPy's stats
-    from scipy.special import betaincinv
-
-    alpha = 1.0 - CONFIDENCE
-    if successes == 0:
-        lo = 0.0
-    else:
-        lo = float(betaincinv(successes, trials - successes + 1, alpha / 2))
-    if successes == trials:
-        hi = 1.0
-    else:
-        hi = float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
-    return lo, hi
+                       for a in range(0, len(grid), rows)),
+                      f"{spec.mode} law of {kf.label} at n={n}, k={k}")
 
 
 def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
@@ -215,16 +186,15 @@ def _mc_norms(spec: StatisticSpec, dist: DiscreteDistribution, trials: int, seed
 
 
 def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,
-            trials: int, seed: int) -> list[TailEstimate]:
-    """Monte Carlo tail estimates with Clopper-Pearson intervals; a NaN norm is no hit."""
+            trials: int, seed: int) -> np.ndarray:
+    """Fraction of `trials` sampled norms at or above each t; a NaN norm is no hit."""
     if trials < MIN_TRIALS:
         raise ValidationError(f"trials must be >= {MIN_TRIALS}")
     hits = 0
     for norms in _mc_norms(spec, dist, trials, seed):
         norms = np.sort(norms)  # NaNs sort last
         hits = hits + np.searchsorted(norms, np.nan) - np.searchsorted(norms, t_grid)
-    return [TailEstimate(float(t), h / trials, *clopper_pearson(h, trials))
-            for t, h in zip(t_grid, hits.tolist())]
+    return hits / trials
 
 
 def _mc_counts(spec: StatisticSpec, dist: DiscreteDistribution, law: DiscreteLaw,
@@ -241,13 +211,7 @@ def _mc_counts(spec: StatisticSpec, dist: DiscreteDistribution, law: DiscreteLaw
     return counts, off
 
 
-@dataclass(frozen=True)
-class KappaResult:
-    value: float
-    exact: bool  # the infimum itself, in every dimension
-
-
-def kappa(values, probs) -> KappaResult:
+def kappa(values, probs) -> float:
     """Anticoncentration functional: inf over functionals x' of
     (E|x'(Y)|)^2 / E(x'(Y))^2, exactly, for mean-zero Y of any dimension.
 
@@ -259,8 +223,7 @@ def kappa(values, probs) -> KappaResult:
     (r-1)-subset contributes its null vector; a dependent subset contributes
     some other direction, which cannot undercut the infimum.
     """
-    v = np.asarray(values, dtype=float)
-    p = np.asarray(probs, dtype=float)
+    v, p = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
     if v.ndim not in (1, 2):
         raise ValidationError("values must be (m,) or (m, dim)")
     v = v.reshape(len(v), -1)
@@ -278,13 +241,5 @@ def kappa(values, probs) -> KappaResult:
     subsets = np.array(list(itertools.combinations(range(len(w)), r - 1)), dtype=int)
     proj = w @ np.linalg.svd(w[subsets])[2][:, -1].T  # (m, directions)
     first = p @ np.abs(proj)
-    return KappaResult(float(np.min(first * first / (p @ (proj * proj)))), exact=True)
+    return float(np.min(first * first / (p @ (proj * proj))))
 
-
-def support_grid(*laws: DiscreteLaw) -> np.ndarray:
-    """t-grid hitting every jump: support points, midpoints, 0+, and past the max."""
-    pts = np.unique(np.concatenate([law.values for law in laws]))
-    mids = (pts[:-1] + pts[1:]) / 2.0
-    top = pts[-1] * 1.5 + 1.0
-    tiny = min(1e-9, (pts[pts > 0].min() / 2.0) if np.any(pts > 0) else 1e-9)
-    return np.unique(np.concatenate([pts, mids, [tiny, top]]))

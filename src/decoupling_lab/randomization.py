@@ -17,9 +17,7 @@ import numpy as np
 from .errors import BudgetExceededError, ValidationError
 from .kernel import KernelFamily
 from .ustat_engine import StatisticSpec, mixed_sum, slot_sum
-from .value_space import DiscreteDistribution, batch_norm, norm
-
-DEFAULT_RANDOMIZATION_BUDGET = 2 ** 24
+from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm
 
 
 def all_sign_vectors(n: int) -> np.ndarray:
@@ -36,8 +34,7 @@ def all_choice_vectors(n: int, l: int) -> np.ndarray:
 def sign_couple(s: np.ndarray, signs) -> np.ndarray:
     """Swap the two columns of row i when the i-th sign is -1; s is (..., n, 2)
     and signs (..., n), whose batch axes broadcast against those of s."""
-    s = np.asarray(s)
-    signs = np.asarray(signs, dtype=np.int64)
+    s, signs = np.asarray(s), np.asarray(signs, dtype=np.int64)
     if s.ndim < 2 or s.shape[-1] != 2:
         raise ValidationError("sign coupling needs a two-column sample matrix")
     if signs.shape[-1:] != s.shape[-2:-1]:
@@ -85,9 +82,9 @@ def sign_conditional_expectation(kf: KernelFamily, s: np.ndarray, pattern):
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
-    if 2 ** n > DEFAULT_RANDOMIZATION_BUDGET:
+    if 2 ** n > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"2^{n} sign vectors exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")
+            f"2^{n} sign vectors exceed budget {DEFAULT_ENUM_BUDGET}")
     coupled = sign_couple(s, all_sign_vectors(n))  # (2^n, n, 2)
     return np.mean(StatisticSpec(kf, "pattern", pattern)(coupled), axis=0)
 
@@ -101,9 +98,9 @@ def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int):
     n = s.shape[0]
     if l < 1:
         raise ValidationError("l must be >= 1")
-    if l ** n > DEFAULT_RANDOMIZATION_BUDGET:
+    if l ** n > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"{l}^{n} selector matrices exceed budget {DEFAULT_RANDOMIZATION_BUDGET}")
+            f"{l}^{n} selector matrices exceed budget {DEFAULT_ENUM_BUDGET}")
     z = selector_couple(s, all_choice_vectors(n, l))  # (l^n, n) coupled rows
     return np.mean(StatisticSpec(kf, "coupled")(z[..., None]), axis=0)
 
@@ -118,7 +115,7 @@ def _law_of(atom_idx: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
 
 def distributional_equality_check(dist: DiscreteDistribution, n: int,
                                   coupling: str = "selector", l: int = 2,
-                                  budget: int = DEFAULT_RANDOMIZATION_BUDGET) -> bool:
+                                  budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     """Exact law comparison between the coupled sample and a fresh copy.
 
     For selector coupling the induced law of (Z_1,...,Z_n) is compared with

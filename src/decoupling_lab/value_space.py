@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ValidationError
 
 PROB_TOL = 1e-12
-DEFAULT_ENUM_BUDGET = 2 ** 24
+DEFAULT_ENUM_BUDGET = 2 ** 24  # items one exhaustive enumeration may list by default
 
 NORM_KINDS = ("abs_sum", "euclidean", "maximum")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernel as kmod, randomization as rz, ustat_engine as ue
-from .errors import BudgetExceededError, SymmetryError, ValidationError
+from .errors import BudgetExceededError, InvariantError, SymmetryError, ValidationError
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient)
 from .prob_engine import (MIN_TRIALS, DiscreteLaw, _mc_counts, aggregate_law, exact_law,
@@ -198,12 +198,10 @@ def verify_lemma1(dist: DiscreteDistribution,
 
 def verify_prop1(a: float, dist: DiscreteDistribution) -> InequalityReport:
     """P(|a + Y| >= |a|) >= kappa/4 for mean-zero 1-D Y."""
-    values = dist.values_array()
-    probs = dist.probs_array()
-    kap = kappa(values, probs).value
+    values, probs = dist.values_array(), dist.probs_array()
     target = abs(float(a))
     lhs = float(probs[np.abs(a + values) >= target - IDENTITY_TOL].sum())
-    rhs = kap / 4.0
+    rhs = kappa(values, probs) / 4.0
     row = CheckRow(target, lhs, rhs, lhs + IDENTITY_TOL >= rhs)
     return InequalityReport((row,))
 
@@ -264,9 +262,9 @@ def verify_moment_comparison(coeffs, n: int, degree: int,
         a = np.asarray(coeffs, dtype=float)
         if a.shape != (n, l):
             raise ValidationError("selector coefficients must have shape (n, l)")
-        if l ** n > rz.DEFAULT_RANDOMIZATION_BUDGET:
+        if l ** n > DEFAULT_ENUM_BUDGET:
             raise BudgetExceededError(f"{l}^{n} selector matrices exceed budget "
-                                      f"{rz.DEFAULT_RANDOMIZATION_BUDGET}")
+                                      f"{DEFAULT_ENUM_BUDGET}")
         # x0 + sum_i a[i, chosen column]; centering subtracts each row's mean
         raw = x0 + rz.selector_couple(a, all_choice_vectors(n, l)).sum(axis=1)
         variants = [raw - a.sum() / l, raw]
@@ -565,12 +563,22 @@ def _kl_statistic(counts, probs, draws: int):
     return np.sum(counts * np.log(np.maximum(counts, 1) / (draws * probs)), axis=-1)
 
 
-def _mc_consistency(cfg, instances, law_of, **_):
-    """Bins the Monte Carlo draws of every third instance's pattern (0..k-1) law on
-    its exact support; a draw off the support fails, and so does a law whose
+def _mc_gate(sampled, trials: int):
+    """Whether each (exact law, _mc_counts of `trials` draws) in `sampled` fits,
+    and the detail: a draw off the support fails, and so does a law whose
     G = N KL(draws || law) reaches _kl_threshold at level MC_ALPHA / (laws gated),
     so a correct build fails with probability at most MC_ALPHA."""
-    gated, off = [], 0  # (G, support size) per law
+    ratio = max(float(_kl_statistic(counts, law.probs, trials))
+                / _kl_threshold(law.values.size, MC_ALPHA / len(sampled))
+                for law, (counts, _) in sampled)
+    off = sum(missed for _, (_, missed) in sampled)
+    return off == 0 and ratio < 1.0, {"alpha": MC_ALPHA, "laws": len(sampled),
+                                      "off_support": off, "worst_ratio": ratio}
+
+
+def _mc_consistency(cfg, instances, law_of, **_):
+    """_mc_gate on the pattern (0..k-1) law of every third instance."""
+    sampled = []
     for i in range(0, len(instances), 3):
         inst, dist, kf = instances[i]
         spec = StatisticSpec(kf, "pattern", pattern=tuple(range(kf.k)),
@@ -580,15 +588,9 @@ def _mc_consistency(cfg, instances, law_of, **_):
         except BudgetExceededError as e:
             yield Skip(inst, str(e))
             continue
-        counts, missed = _mc_counts(spec, dist, law, cfg.mc_trials, seed=cfg.seed + i)
-        gated.append((float(_kl_statistic(counts, law.probs, cfg.mc_trials)),
-                      law.values.size))
-        off += missed
-    if gated:
-        ratio = max(g / _kl_threshold(m, MC_ALPHA / len(gated)) for g, m in gated)
-        yield Outcome("corpus", off == 0 and ratio < 1.0,
-                      {"alpha": MC_ALPHA, "laws": len(gated), "off_support": off,
-                       "worst_ratio": ratio})
+        sampled.append((law, _mc_counts(spec, dist, law, cfg.mc_trials, cfg.seed + i)))
+    if sampled:
+        yield Outcome("corpus", *_mc_gate(sampled, cfg.mc_trials))
 
 
 _SEARCHES = {"theorem1_upper": "upper", "theorem1_lower": "lower", "lemma3": "lemma3"}
@@ -673,6 +675,14 @@ def _summary(cfg: CorpusConfig, results: list, skipped: list) -> dict:
     return summary
 
 
+def _recorded(generate, context):
+    """A check's outputs; an InvariantError ends the check with a failed result."""
+    try:
+        yield from generate(**context)
+    except InvariantError as e:
+        yield Outcome("error", False, {"error": str(e), "later_instances": "not run"})
+
+
 def run_corpus(cfg: CorpusConfig) -> dict:
     """Run each configured check's generator, in ALL_CHECKS order, and record
     what it yields; returns a JSON-ready dict.
@@ -691,7 +701,7 @@ def run_corpus(cfg: CorpusConfig) -> dict:
         if check not in cfg.checks:
             continue
         start, laws = time.perf_counter(), law_of.cache_info().currsize
-        for out in generate(**context):
+        for out in _recorded(generate, context):
             if isinstance(out, Skip):
                 skipped.append({"check": check, "instance_id": out.instance,
                                 "reason": out.reason})

@@ -7,10 +7,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import decoupling_lab
-from decoupling_lab import cli, randomization, verifier
+from decoupling_lab import cli, prob_engine, randomization, verifier
 from decoupling_lab.cli import main, parse_config, run
 from decoupling_lab.errors import ValidationError
 from decoupling_lab.prob_engine import exact_law
@@ -203,6 +204,25 @@ def test_cli_lists_distributional_skip_over_its_budget(tmp_path, capsys):
     assert summary["skipped"] == [{
         "check": "distributional", "instance_id": "uniform4:selector:n3l3",
         "reason": "7077888 joint assignments exceed budget 1048576"}]
+
+
+def test_a_broken_exact_law_invariant_is_a_failed_result(monkeypatch, tmp_path, capsys):
+    # count vectors without their multinomial factor: a mixed law of mass below 1
+    count_vectors = prob_engine._count_vectors
+
+    def unweighted(probs, l):
+        counts, _ = count_vectors(probs, l)
+        return counts, np.prod(probs ** counts, axis=1)
+    monkeypatch.setattr(prob_engine, "_count_vectors", unweighted)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--seed", "1", "--out", str(out)]) == 1
+    assert "250/251 checks passed" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert [r for r in report["results"] if not r["passed"]] == [{
+        "check": "lemma3", "instance_id": "error", "n": None, "k": None, "l": None,
+        "passed": False,
+        "detail": {"error": "exact mixed law of product at n=3, k=2 has total mass 0.421875",
+                   "later_instances": "not run"}}]
 
 
 def test_cli_identities_subcommand(tmp_path):

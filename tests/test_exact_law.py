@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from decoupling_lab import prob_engine
-from decoupling_lab.errors import BudgetExceededError, ValidationError
+from decoupling_lab.errors import BudgetExceededError, InvariantError, ValidationError
 from decoupling_lab.kernel import (KernelFamily, affine_product_kernel,
                                    constant_kernel, first_argument_kernel,
                                    product_kernel, random_coefficient_kernel,
@@ -128,6 +128,6 @@ def test_exact_law_refuses_a_law_whose_mass_is_not_1(monkeypatch):
             spec = StatisticSpec(product_kernel(2, 3), "mixed", l=l)
             with pytest.raises(RuntimeError, match="total mass") as e:
                 exact_law(spec, dist)
-            assert type(e.value) is RuntimeError  # neither a budget nor an input error
+            assert type(e.value) is InvariantError  # neither a budget nor an input error
     law = exact_law(StatisticSpec(product_kernel(2, 3), "coupled"), uniform(3))
     assert law.probs.sum() == pytest.approx(1.0)

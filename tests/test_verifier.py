@@ -11,7 +11,7 @@ from decoupling_lab.kernel import (check_symmetry, constant_kernel,
                                    first_argument_kernel, product_kernel,
                                    random_coefficient_kernel)
 from decoupling_lab.prob_engine import (DiscreteLaw, StatisticSpec, aggregate_law,
-                                        exact_law, moment, support_grid, tail)
+                                        exact_law, moment, tail)
 from decoupling_lab.randomization import all_choice_vectors
 from decoupling_lab.value_space import (NORM_KINDS, DiscreteDistribution, batch_norm,
                                         rademacher, uniform)
@@ -56,15 +56,16 @@ def _tail_tol(law, u):
 
 
 def _lemma1_t_grid_reference(dist, norm_kind):
-    # the former body of verify_lemma1: every t > 0 of the law's support grid
+    # the former body of verify_lemma1: every t > 0 among the support points of
+    # ||X|| and the midpoints between them
     atoms, probs = dist.values_array(), dist.probs_array()
     dim = atoms[0].size
     law_x = aggregate_law(batch_norm(atoms, norm_kind, dim), probs)
     # every pair (i, j) in row-major order
     pairs = atoms[:, None] + atoms[None, :]
     law_sum = aggregate_law(batch_norm(pairs, norm_kind, dim), np.outer(probs, probs))
-    rows = []
-    for t in support_grid(law_x):
+    rows, pts = [], law_x.values
+    for t in np.sort(np.concatenate([pts, (pts[:-1] + pts[1:]) / 2])):
         if t <= 0:
             continue
         lhs = tail(law_x, t)
@@ -299,6 +300,16 @@ def test_run_corpus_empty_checks():
     rep = run_corpus(CorpusConfig(checks=()))
     assert rep["summary"]["total"] == 0
     assert rep["summary"]["failed"] == 0
+
+
+def test_run_corpus_raises_a_runtime_error_that_is_no_invariant(monkeypatch):
+    # only an InvariantError becomes a failed result; any other bug keeps its traceback
+    def broken(**_):
+        raise RuntimeError("a kernel bug")
+        yield
+    monkeypatch.setitem(verifier._CHECKS, "prop1", broken)
+    with pytest.raises(RuntimeError, match="a kernel bug"):
+        run_corpus(CorpusConfig(checks=("prop1",)))
 
 
 def test_run_corpus_small():
