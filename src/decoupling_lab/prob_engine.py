@@ -83,9 +83,9 @@ def aggregate_law(values, probs) -> DiscreteLaw:
                       for i in range(0, max(v.size, p.size), _CHUNK))
 
 
-def tail(law: DiscreteLaw, t: float) -> float:
-    """P(value >= t), by lookup in the law's suffix sums."""
-    return float(law.suffix_sums[np.searchsorted(law.values, t)])
+def tail(law: DiscreteLaw, t):
+    """P(value >= t) at a scalar or an array of t, by lookup in the law's suffix sums."""
+    return law.suffix_sums[np.searchsorted(law.values, t)]
 
 
 def moment(law: DiscreteLaw, p: int) -> float:
@@ -156,8 +156,9 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
         feats, contracted, copies = counts @ feats, [(0,) * k], 1
     idx = np.indices((probs.size,) * n).reshape(n, -1).T  # row states of every column
     grid, grid_probs = feats[idx].reshape(len(idx), -1), probs[idx].prod(axis=1)
-    values = functools.reduce(np.add, (_grid_contract(tensor, grid, p, copies)
-                                       for p in contracted))
+    sums = (_grid_contract(tensor, grid, p, copies) for p in contracted)
+    empty = np.zeros((1,) * copies + tensor.shape[k:])  # k = 1 not_all_equal has no pattern
+    values = functools.reduce(np.add, sums, next(sums, empty))  # the first sum, not a copy
     values += len(patterns) * math.perm(n, k) * np.asarray(const)  # a new array: add in place
     dims = values.shape[copies:]
     values = np.broadcast_to(values, (len(grid),) * copies + dims)

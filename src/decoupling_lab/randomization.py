@@ -26,7 +26,10 @@ def all_sign_vectors(n: int) -> np.ndarray:
 
 
 def all_choice_vectors(n: int, l: int) -> np.ndarray:
-    """All l^n column-choice vectors, one per row, in mixed-radix order."""
+    """All l^n column-choice vectors, one per row, in mixed-radix order; more
+    than DEFAULT_ENUM_BUDGET of them are refused before any is listed."""
+    if l ** n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"{l}^{n} choice vectors exceed budget {DEFAULT_ENUM_BUDGET}")
     idx = np.arange(l ** n)[:, None]
     return (idx // (l ** np.arange(n)[None, :])) % l
 
@@ -81,11 +84,7 @@ def sign_conditional_expectation(kf: KernelFamily, s: np.ndarray, pattern):
     Equals 2^{-k} times the two-copy mixed sum, for every pattern.
     """
     s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    if 2 ** n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"2^{n} sign vectors exceed budget {DEFAULT_ENUM_BUDGET}")
-    coupled = sign_couple(s, all_sign_vectors(n))  # (2^n, n, 2)
+    coupled = sign_couple(s, all_sign_vectors(s.shape[0]))  # (2^n, n, 2)
     return np.mean(StatisticSpec(kf, "pattern", pattern)(coupled), axis=0)
 
 
@@ -95,13 +94,9 @@ def selector_conditional_expectation(kf: KernelFamily, s: np.ndarray, l: int):
     Equals (1/l)^k times the l-copy mixed sum.
     """
     s = np.asarray(s, dtype=float)  # selector_couple checks it has l columns
-    n = s.shape[0]
     if l < 1:
         raise ValidationError("l must be >= 1")
-    if l ** n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{l}^{n} selector matrices exceed budget {DEFAULT_ENUM_BUDGET}")
-    z = selector_couple(s, all_choice_vectors(n, l))  # (l^n, n) coupled rows
+    z = selector_couple(s, all_choice_vectors(s.shape[0], l))  # (l^n, n) coupled rows
     return np.mean(StatisticSpec(kf, "coupled")(z[..., None]), axis=0)
 
 

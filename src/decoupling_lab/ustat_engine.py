@@ -87,8 +87,8 @@ def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray
 class StatisticSpec:
     """One of the sums whose norm tail the theorems compare, validated when built.
 
-    mode: one of MODES; 'pattern' reads `pattern` (k copy indices), 'mixed'
-    reads `l`, and a mode reads only its own fields.
+    mode: one of MODES; 'pattern' reads `pattern` (k integer copy indices >= 0),
+    'mixed' reads `l` (an integer >= 1), and a mode reads only its own fields.
     Calling the spec on samples of shape (..., n, copies) returns the sum.
     """
 

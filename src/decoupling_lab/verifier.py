@@ -4,13 +4,13 @@ smallest decoupling constants in closed form.
 Each check is phrased against exact laws computed by enumeration, so a failure
 is an implementation bug, never sampling noise.  Tail laws are finite step
 functions, so the smallest constant C with all-t tail domination (factor C,
-threshold t/C) is a max-min over pairs of support points; each tail is a
-lookup in the law's suffix sums, and an independent tail-domination check
-confirms every constant before it counts.
+threshold t/C) is a max-min over pairs of support points; each tail is read
+by `prob_engine.tail`, and an independent tail-domination check confirms
+every constant before it counts.
 
 A campaign is a table of checks: each check is a generator that yields its
-results (with their table rows) or the instances the enumeration budget left
-out, and one driver records them, times each check and derives the summary.
+results (with their table rows) or the instances it could not finish, and one
+driver records them, times each check and derives the summary.
 Each exact law is computed once per instance and reused in every check that
 compares it.
 """
@@ -30,7 +30,7 @@ from .errors import BudgetExceededError, InvariantError, SymmetryError, Validati
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient)
 from .prob_engine import (MIN_TRIALS, DiscreteLaw, _mc_counts, aggregate_law, exact_law,
-                          kappa, moment, sample_matrices)
+                          kappa, moment, sample_matrices, tail)
 from .randomization import all_sign_vectors, all_choice_vectors
 from .ustat_engine import StatisticSpec
 from .value_space import (DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm,
@@ -42,6 +42,7 @@ IDENTITY_TOL = 1e-12
 C_CEILING = float(2 ** 20)
 DISTRIBUTIONAL_BUDGET = 2 ** 20  # joint assignments one distributional check may list
 MC_ALPHA = 1e-9  # chance that mc_consistency fails a correct build, per campaign
+_UNFINISHED = (BudgetExceededError, InvariantError)  # a check yields these as a Skip
 NOT_RUN_BUDGET = "every instance exceeds the enumeration budget"
 NOT_RUN_CONFIG = "no instance of the configured corpus applies"
 
@@ -81,8 +82,8 @@ class ConstantSearchResult:
 
 def _positive_tails(law: DiscreteLaw):
     """Positive support points and P(value >= point) at each."""
-    pos = law.values > 0
-    return law.values[pos], law.suffix_sums[:-1][pos]
+    ts = law.values[law.values > 0]
+    return ts, tail(law, ts)
 
 
 def _tail_rows(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float):
@@ -90,10 +91,9 @@ def _tail_rows(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float):
     the only t > 0 that can bind: the left tail is constant up to each of them
     and c * rhs_tail(t/c) only falls as t grows."""
     ts, lhs = _positive_tails(law_l)
-    # rhs_tail by suffix-sum lookup, with a small relative slack so that
-    # c * right support points survive the division by c
+    # a small relative slack, so that c * right support points survive the division by c
     u = ts / c - 1e-9 * np.maximum(1.0, ts / c)
-    return ts, lhs, c * law_r.suffix_sums[np.searchsorted(law_r.values, u)]
+    return ts, lhs, c * tail(law_r, u)
 
 
 def tails_dominated(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float) -> bool:
@@ -262,9 +262,6 @@ def verify_moment_comparison(coeffs, n: int, degree: int,
         a = np.asarray(coeffs, dtype=float)
         if a.shape != (n, l):
             raise ValidationError("selector coefficients must have shape (n, l)")
-        if l ** n > DEFAULT_ENUM_BUDGET:
-            raise BudgetExceededError(f"{l}^{n} selector matrices exceed budget "
-                                      f"{DEFAULT_ENUM_BUDGET}")
         # x0 + sum_i a[i, chosen column]; centering subtracts each row's mean
         raw = x0 + rz.selector_couple(a, all_choice_vectors(n, l)).sum(axis=1)
         variants = [raw - a.sum() / l, raw]
@@ -405,9 +402,9 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Skip:
-    """An instance a check left out because exact_law refused its law."""
+    """An instance a check could not finish, and the _UNFINISHED error that stopped it."""
     instance: str
-    reason: str
+    error: Exception
 
 
 def _identities(cfg, rng, instances, **_):
@@ -428,8 +425,8 @@ def _identities(cfg, rng, instances, **_):
                 ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
                 target = np.asarray(ue.mixed_sum(kf, s, l)) / float(l ** k)
                 worst = max(worst, norm(ce - target, cfg.norm_kind))
-        except BudgetExceededError as e:
-            yield Skip(inst, str(e))
+        except _UNFINISHED as e:
+            yield Skip(inst, e)
             continue
         # not_all_equal_sum against the sum of its 2^k - 2 pattern sums
         partition = np.asarray(ue.not_all_equal_sum(kf, s)) - sum(
@@ -460,8 +457,8 @@ def _distributional(cfg, **_):
                 try:  # the sign coupling has two columns whatever l is
                     ok = rz.distributional_equality_check(
                         dist, n, coupling, l or 2, budget=DISTRIBUTIONAL_BUDGET)
-                except BudgetExceededError as e:
-                    yield Skip(iid, str(e))
+                except _UNFINISHED as e:
+                    yield Skip(iid, e)
                     continue
                 yield Outcome(iid, ok, n=n, l=l)
 
@@ -507,8 +504,8 @@ def _moments(cfg, rng, **_):
         try:
             rep = verify_moment_comparison(a, n, 1, "centered-selector", l=l,
                                            x0=float(rng.integers(0, 3)))
-        except BudgetExceededError as e:
-            yield Skip(f"selector:l{l}", str(e))
+        except _UNFINISHED as e:
+            yield Skip(f"selector:l{l}", e)
             continue
         yield Outcome(f"selector:l{l}", rep.passed, n=n, l=l, rows=rep.rows)
 
@@ -522,8 +519,8 @@ def _search(direction, cfg, instances, law_of, **_):
             iid = inst if l is None else f"{inst}l{l}"
             try:
                 res = search_constant(kf, dist, direction, l, cfg.norm_kind, law_of)
-            except BudgetExceededError as e:
-                yield Skip(iid, str(e))
+            except _UNFINISHED as e:
+                yield Skip(iid, e)
                 continue
             detail = ({"c_min": res.c_min, "max_slack": res.max_slack} if l is None
                       else {"c_min": res.c_min, "c_min_scaled": res.c_min_scaled})
@@ -585,8 +582,8 @@ def _mc_consistency(cfg, instances, law_of, **_):
                              norm_kind=cfg.norm_kind)
         try:
             law = law_of(spec, dist)
-        except BudgetExceededError as e:
-            yield Skip(inst, str(e))
+        except _UNFINISHED as e:
+            yield Skip(inst, e)
             continue
         sampled.append((law, _mc_counts(spec, dist, law, cfg.mc_trials, cfg.seed + i)))
     if sampled:
@@ -675,21 +672,15 @@ def _summary(cfg: CorpusConfig, results: list, skipped: list) -> dict:
     return summary
 
 
-def _recorded(generate, context):
-    """A check's outputs; an InvariantError ends the check with a failed result."""
-    try:
-        yield from generate(**context)
-    except InvariantError as e:
-        yield Outcome("error", False, {"error": str(e), "later_instances": "not run"})
-
-
 def run_corpus(cfg: CorpusConfig) -> dict:
     """Run each configured check's generator, in ALL_CHECKS order, and record
     what it yields; returns a JSON-ready dict.
 
-    Each result goes to `results` and its rows to `table`, each skip to
-    `summary.skipped`; `checks` holds every requested check's wall seconds and
-    exact laws computed, measured around that check alone.
+    Each result goes to `results` and its rows to `table`.  Of the instances a
+    check could not finish, a refusal goes to `summary.skipped` and a broken
+    invariant to `results`, failed with `detail.error`.  `checks` holds every
+    requested check's wall seconds and exact laws computed, measured around
+    that check alone.
     """
     # each exact law once per (instance, statistic)
     law_of = functools.cache(functools.partial(exact_law, budget=cfg.enum_budget))
@@ -701,11 +692,13 @@ def run_corpus(cfg: CorpusConfig) -> dict:
         if check not in cfg.checks:
             continue
         start, laws = time.perf_counter(), law_of.cache_info().currsize
-        for out in _recorded(generate, context):
+        for out in generate(**context):
             if isinstance(out, Skip):
-                skipped.append({"check": check, "instance_id": out.instance,
-                                "reason": out.reason})
-                continue
+                if isinstance(out.error, BudgetExceededError):
+                    skipped.append({"check": check, "instance_id": out.instance,
+                                    "reason": str(out.error)})
+                    continue
+                out = Outcome(out.instance, False, {"error": str(out.error)})  # an InvariantError
             where = {"check": check, "instance_id": out.instance,
                      "n": out.n, "k": out.k, "l": out.l}
             results.append({**where, "passed": bool(out.passed), "detail": out.detail})

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -216,13 +217,19 @@ def test_a_broken_exact_law_invariant_is_a_failed_result(monkeypatch, tmp_path, 
     monkeypatch.setattr(prob_engine, "_count_vectors", unweighted)
     out = tmp_path / "r.json"
     assert main(["verify", "--seed", "1", "--out", str(out)]) == 1
-    assert "250/251 checks passed" in capsys.readouterr().out
-    report = json.loads(out.read_text())
-    assert [r for r in report["results"] if not r["passed"]] == [{
-        "check": "lemma3", "instance_id": "error", "n": None, "k": None, "l": None,
-        "passed": False,
-        "detail": {"error": "exact mixed law of product at n=3, k=2 has total mass 0.421875",
-                   "later_instances": "not run"}}]
+    assert "267/291 checks passed" in capsys.readouterr().out
+    results = json.loads(out.read_text())["results"]
+    assert len(results) == 291  # each broken law fails alone; the check goes on
+    assert sum(r["check"] == "lemma3" for r in results) == 42
+    failed = [r for r in results if not r["passed"]]
+    assert len(failed) == 24
+    for r in failed:  # each under its own lemma3 id, l >= 2, naming its mixed law
+        _, label, shape = r["instance_id"].split(":")
+        n, k, l = map(int, re.fullmatch(r"n(\d)k(\d)l(\d)", shape).groups())
+        assert r["check"] == "lemma3" and l >= 2
+        assert list(r["detail"]) == ["error"]
+        assert re.fullmatch(rf"exact mixed law of {re.escape(label)} at n={n}, k={k} "
+                            r"has total mass 0\.\d+", r["detail"]["error"])
 
 
 def test_cli_identities_subcommand(tmp_path):
@@ -456,7 +463,7 @@ OVERSIZE_L_CONFIG = {"corpus": {"nk_pairs": [[4, 2]], "ls": [1, 2, 65],
 
 
 def test_cli_oversize_l_skips_identities_and_keeps_the_report(tmp_path, capsys):
-    # 65^4 selector matrices exceed the randomization budget at every n = 4
+    # 65^4 choice vectors exceed the enumeration default at every n = 4
     # instance, so identities records skips and is not run; lemma1 still reports
     cfg_path, out = tmp_path / "config.json", tmp_path / "r.json"
     cfg_path.write_text(json.dumps(OVERSIZE_L_CONFIG))
@@ -471,7 +478,7 @@ def test_cli_oversize_l_skips_identities_and_keeps_the_report(tmp_path, capsys):
     assert len(skipped) == 4
     assert skipped[0] == {"check": "identities",
                           "instance_id": "rademacher:product:n4k2",
-                          "reason": "65^4 selector matrices exceed budget 16777216"}
+                          "reason": "65^4 choice vectors exceed budget 16777216"}
     checks = {r["check"] for r in json.loads(out.read_text())["results"]}
     assert checks == {"lemma1", "distributional"}
 

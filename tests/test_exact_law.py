@@ -131,3 +131,14 @@ def test_exact_law_refuses_a_law_whose_mass_is_not_1(monkeypatch):
             assert type(e.value) is InvariantError  # neither a budget nor an input error
     law = exact_law(StatisticSpec(product_kernel(2, 3), "coupled"), uniform(3))
     assert law.probs.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", ["product", "first-arg", "coeff-dim2"])
+def test_exact_law_of_an_empty_pattern_set_is_the_point_mass_at_0(name):
+    # at k = 1 every pattern is all-equal, so not_all_equal is the empty sum
+    spec = StatisticSpec(KERNELS[name](1, 3), "not_all_equal")
+    for dist in (rademacher(), uniform(3)):
+        law = exact_law(spec, dist)
+        assert (law.values.tolist(), law.probs.tolist()) == ([0.0], [1.0])
+        b = brute_force_law(spec, dist)
+        assert (b.values.tolist(), b.probs.tolist()) == ([0.0], [1.0])

@@ -62,8 +62,10 @@ def test_tail_lookup_equals_masked_sum():
         vals = np.sort(rng.choice(np.arange(-6.0, 7.0), size=5, replace=False))
         law = DiscreteLaw(vals, rng.dirichlet(np.ones(5)))
         mids = (vals[:-1] + vals[1:]) / 2
-        for t in np.concatenate([vals, mids, [-10.0, vals[-1] + 1.0]]):
+        ts = np.concatenate([vals, mids, [-10.0, vals[-1] + 1.0]])
+        for t in ts:
             assert tail(law, t) == float(law.probs[law.values >= t].sum())
+        assert tail(law, ts).tolist() == [tail(law, t) for t in ts]  # an array of t
 
 
 def test_moment_examples():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decoupling_lab import verifier
+from decoupling_lab import prob_engine, verifier
 from decoupling_lab.errors import BudgetExceededError, SymmetryError, ValidationError
 from decoupling_lab.kernel import (check_symmetry, constant_kernel,
                                    first_argument_kernel, product_kernel,
@@ -192,28 +192,18 @@ def test_selector_moments_match_the_one_hot_einsum(integer):
             assert row.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def _no_choice_vectors_over_budget(monkeypatch):
-    # listing 65^4 choice vectors as one-hot arrays would take about 37 GB
-    def choice_vectors(n, l):
-        assert l ** n <= 2 ** 24, "choice vectors listed over budget"
-        return all_choice_vectors(n, l)
-
-    monkeypatch.setattr(verifier, "all_choice_vectors", choice_vectors)
-
-
-def test_selector_moments_refuse_over_budget_before_allocating(monkeypatch):
-    _no_choice_vectors_over_budget(monkeypatch)
+def test_selector_moments_refuse_over_budget_before_allocating():
+    # 65^4 = 17.9 million choice vectors would take more than 1 GB to list
     a = np.ones((4, 65))
     tracemalloc.start()
-    with pytest.raises(BudgetExceededError, match="65\\^4 selector matrices"):
+    with pytest.raises(BudgetExceededError, match="65\\^4 choice vectors"):
         verify_moment_comparison(a, 4, 1, "centered-selector", l=65)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 2 ** 20
 
 
-def test_moments_records_a_selector_over_budget_as_skip(monkeypatch):
-    _no_choice_vectors_over_budget(monkeypatch)
+def test_moments_records_a_selector_over_budget_as_skip():
     out = run_corpus(CorpusConfig(seed=1, nk_pairs=((2, 1),), ls=(2, 65),
                                   checks=("moments",)))
     assert [s["instance_id"] for s in out["summary"]["skipped"]] == ["selector:l65"]
@@ -310,6 +300,21 @@ def test_run_corpus_raises_a_runtime_error_that_is_no_invariant(monkeypatch):
     monkeypatch.setitem(verifier._CHECKS, "prop1", broken)
     with pytest.raises(RuntimeError, match="a kernel bug"):
         run_corpus(CorpusConfig(checks=("prop1",)))
+
+
+def test_run_corpus_fails_a_tail_that_reads_above_t(monkeypatch):
+    # prob_engine.tail planted to read P(X > t), not P(X >= t): its code is
+    # swapped, so every module that imported the function reads the fault
+    def strict_tail(law, t):
+        return law.suffix_sums[np.searchsorted(law.values, t, side="right")]
+    monkeypatch.setattr(prob_engine.tail, "__code__", strict_tail.__code__)
+    cfg = CorpusConfig(seed=1, distributions=("rademacher",), kernel_classes=("product",),
+                       nk_pairs=((3, 2),), ls=(1, 2),
+                       checks=("theorem1_upper", "theorem1_lower", "lemma3"))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a top support point's tail is 0
+        rep = run_corpus(cfg)
+    failed = {r["check"] for r in rep["results"] if not r["passed"]}
+    assert failed & {"theorem1_upper", "theorem1_lower", "lemma3"}
 
 
 def test_run_corpus_small():
