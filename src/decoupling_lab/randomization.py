@@ -74,7 +74,7 @@ def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
     spec = StatisticSpec(kf, "pattern", pattern)
     lhs = (2.0 ** kf.k) * spec(sign_couple(s, signs[..., 0]))
     weights = [np.where(np.arange(2) == p, 1 + signs, 1 - signs) for p in spec.pattern]
-    rhs = slot_sum(kf, s, [(0, 1)] * kf.k, weights)
+    rhs = slot_sum(kf, s, itertools.product((0, 1), repeat=kf.k), weights)
     return batch_norm(lhs - rhs, "euclidean", kf.dim)
 
 

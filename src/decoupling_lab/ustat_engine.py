@@ -6,12 +6,14 @@ batch axis is allowed everywhere, so the same code paths serve single
 realizations and vectorized Monte Carlo / enumeration sweeps.
 
 Each statistic is defined once, by a `StatisticSpec`: validated when built,
-summed when called on samples; the public sums are spec calls.  Every sum goes
-through one core, `slot_sum`.  A kernel that carries a coefficient tensor is
-summed by one tensor contraction (fast path).  Any other kernel is called once
-per index tuple, in lexicographic order, on all copy patterns at once (one
-broadcast axis per slot), and the pattern sums are added at the end (generic path);
-a block of more than _BLOCK values (batch x patterns x dim) is split slot by slot.
+summed when called on samples; the public sums are spec calls.  Every sum is
+one call of one core, `slot_sum`, over the spec's listed copy patterns.  A
+kernel that carries a coefficient tensor is summed by one tensor contraction
+when the patterns form a product set, else by one per pattern (fast path).
+Any other kernel is called once per index tuple, in lexicographic order, on
+all copy patterns at once (one broadcast axis for the patterns), and the
+pattern sums are added at the end (generic path); a block of more than _BLOCK
+values (batch x patterns x dim) is split into blocks of patterns.
 """
 
 from __future__ import annotations
@@ -45,42 +47,45 @@ def _contract(tensor: np.ndarray, cols) -> np.ndarray:
     return acc.reshape(cols[0].shape[:-1] + tensor.shape[len(cols):])
 
 
-def slot_sum(kf: KernelFamily, s: np.ndarray, slots, weights=None) -> np.ndarray:
-    """Sum over copy patterns j in slots[0] x ... x slots[k-1] and distinct index
-    tuples idx of  w(idx, j) * f_idx(s[..., idx_0, j_0], ..., s[..., idx_{k-1}, j_{k-1}]),
-    where w(idx, j) is the product of weights[r][..., idx_r, j_r] (1 without weights).
+def slot_sum(kf: KernelFamily, s: np.ndarray, patterns, weights=None) -> np.ndarray:
+    """Sum over the listed copy patterns j and distinct index tuples idx of
+    w(idx, j) * f_idx(s[..., idx_0, j_0], ..., s[..., idx_{k-1}, j_{k-1}]), where
+    w(idx, j) is the product of weights[r][..., idx_r, j_r] (1 without weights).
+    The patterns are k-tuples of copy indices and must be distinct.
 
     `s` and each weights[r] have shape (..., n, copies).  Inputs are not
     validated; calling a StatisticSpec does that.
     """
-    k = kf.k
+    k, patterns = kf.k, [tuple(p) for p in patterns]
+    batch = np.broadcast_shapes(s.shape[:-2], *[w.shape[:-2] for w in weights or ()])
+    dims = (kf.dim,) if kf.dim > 1 else ()
+    if not patterns:  # k = 1 not_all_equal lists none
+        return np.zeros(batch + dims)
     if kf.coeffs is not None:
-        # multilinearity: the weighted patterns of each slot add up column-wise
+        slots = [sorted(set(copies)) for copies in zip(*patterns)]
+        if math.prod(map(len, slots)) != len(patterns):  # no product set: pattern by pattern
+            return functools.reduce(np.add, (slot_sum(kf, s, [p], weights) for p in patterns))
+        # multilinearity: the weighted copies of each slot add up column-wise
         weights = weights or [np.ones(s.shape[-2:])] * k
-        cols = [(s[..., list(sl)] * w[..., list(sl)]).sum(axis=-1)
-                for sl, w in zip(slots, weights)]
+        cols = [(s[..., sl] * w[..., sl]).sum(axis=-1) for sl, w in zip(slots, weights)]
         count = _contract(distinct_mask(kf.n, k),
-                          [w[..., list(sl)].sum(axis=-1) for sl, w in zip(slots, weights)])
+                          [w[..., sl].sum(axis=-1) for sl, w in zip(slots, weights)])
         const = np.broadcast_to(kf.const, kf.coeffs.shape[k:])  # () or (dim,)
         return _contract(kf.coeffs, cols) + np.multiply.outer(count, const)
-    sizes = tuple(len(sl) for sl in slots)
-    batch = np.broadcast_shapes(s.shape[:-2], *[w.shape[:-2] for w in weights or ()])
-    if math.prod(batch + sizes) * kf.dim > _BLOCK and max(sizes) > 1:
-        r = sizes.index(max(sizes))  # one block per copy of the largest slot
-        return sum(slot_sum(kf, s, [*slots[:r], [j], *slots[r + 1:]], weights) for j in slots[r])
-    def spread(a, r):  # (n, ..., copies of slots[r] on pattern axis r, 1 on the others)
-        return np.moveaxis(a[..., list(slots[r])], -2, 0).reshape(
-            (kf.n,) + a.shape[:-2] + (1,) * r + (sizes[r],) + (1,) * (k - 1 - r))
-    cols = [spread(s, r) for r in range(k)]
-    ws = [spread(w, r) for r, w in enumerate(weights or ())]
-    acc = np.zeros(batch + sizes + ((kf.dim,) if kf.dim > 1 else ()))
-    for idx in distinct_tuples(kf.n, k):  # every copy pattern at once, on the pattern axes
-        term = kf.evaluate(idx, tuple(cols[r][idx[r]] for r in range(k)))
-        if weights is not None:
-            w = math.prod(ws[r][idx[r]] for r in range(k))
-            term = term * (w[..., None] if kf.dim > 1 else w)
-        acc += term
-    return acc.sum(axis=tuple(range(len(batch), len(batch) + k)))
+    total, step = 0, max(1, _BLOCK // (math.prod(batch) * kf.dim))  # patterns per block
+    for a in range(0, len(patterns), step):
+        block = np.array(patterns[a:a + step])  # (P, k); the P patterns on one broadcast axis
+        cols = [np.moveaxis(s[..., block[:, r]], -2, 0) for r in range(k)]  # (n, ..., P)
+        ws = [np.moveaxis(w[..., block[:, r]], -2, 0) for r, w in enumerate(weights or ())]
+        acc = np.zeros(batch + (len(block),) + dims)
+        for idx in distinct_tuples(kf.n, k):  # every pattern of the block at once
+            term = kf.evaluate(idx, tuple(cols[r][idx[r]] for r in range(k)))
+            if weights is not None:
+                w = math.prod(ws[r][idx[r]] for r in range(k))
+                term = term * (w[..., None] if kf.dim > 1 else w)
+            acc += term
+        total = total + acc.sum(axis=len(batch))
+    return total
 
 
 @dataclass(frozen=True)
@@ -139,9 +144,8 @@ class StatisticSpec:
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         """The sum on samples of shape (..., n, copies), one per leading index: one slot
-        sum over the product set of copy patterns for 'mixed' and 'not_all_equal' (less
-        its two all-equal pattern sums), else one slot sum per pattern in `patterns()`."""
-        kf, k = self.kernel, self.kernel.k
+        sum over the copy patterns in `patterns()`."""
+        kf = self.kernel
         s = np.asarray(s, dtype=float)
         if s.ndim < 2:
             raise ValidationError("sample matrix must have shape (..., n, copies)")
@@ -151,15 +155,9 @@ class StatisticSpec:
         if s.shape[-1] < self.copies_needed:
             raise ValidationError(
                 f"sample has {s.shape[-1]} copies, statistic needs {self.copies_needed}")
-        if math.perm(kf.n, k) > MAX_TUPLE_COUNT:
+        if math.perm(kf.n, kf.k) > MAX_TUPLE_COUNT:
             raise BudgetExceededError("distinct tuple count exceeds evaluation ceiling")
-        if self.mode not in ("mixed", "not_all_equal"):
-            return functools.reduce(np.add, (slot_sum(kf, s, [(p,) for p in pattern])
-                                             for pattern in self.patterns()))
-        total = slot_sum(kf, s, [range(self.copies_needed)] * k)
-        if self.mode == "not_all_equal":
-            total = total - slot_sum(kf, s, [(0,)] * k) - slot_sum(kf, s, [(1,)] * k)
-        return total
+        return slot_sum(kf, s, self.patterns())
 
 
 def _whole(value, name: str, least: int) -> int:
@@ -183,7 +181,7 @@ def mixed_sum(kf: KernelFamily, s: np.ndarray, l: int) -> np.ndarray:
 
 
 def not_all_equal_sum(kf: KernelFamily, s: np.ndarray) -> np.ndarray:
-    """Two-copy mixed sum minus the two all-equal pattern sums."""
+    """Sum over all distinct tuples and the 2^k - 2 two-copy patterns that are not all equal."""
     return StatisticSpec(kf, "not_all_equal")(s)
 
 

@@ -428,10 +428,10 @@ def _identities(cfg, rng, instances, **_):
         except _UNFINISHED as e:
             yield Skip(inst, e)
             continue
-        # not_all_equal_sum against the sum of its 2^k - 2 pattern sums
-        partition = np.asarray(ue.not_all_equal_sum(kf, s)) - sum(
-            np.asarray(ue.pattern_sum(kf, s, p))
-            for p in StatisticSpec(kf, "not_all_equal").patterns())
+        # the two-copy mixed sum (a product set) less its partition: both all-equal
+        # pattern sums and the not_all_equal sum (a listed set)
+        partition = (np.asarray(ue.mixed_sum(kf, s, 2)) - ue.pattern_sum(kf, s, (0,) * k)
+                     - ue.pattern_sum(kf, s, (1,) * k) - ue.not_all_equal_sum(kf, s))
         worst = max(worst, norm(partition, cfg.norm_kind))
         yield Outcome(inst, worst <= IDENTITY_TOL, {"max_residual": worst}, n, k)
 

@@ -250,16 +250,18 @@ def test_cli_import_skips_scipy_stats():
 
 
 def test_verify_with_mc_consistency_never_imports_scipy(tmp_path):
-    # mc_consistency gates its draws with math and NumPy alone
+    # mc_consistency gates its draws with math and NumPy alone, and neither a small
+    # campaign nor the default one imports numpy.ma (np.unique would, on its first call)
     src = str(Path(decoupling_lab.__file__).resolve().parents[1])
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**SMALL_CONFIG, "checks": ["lemma1", "mc_consistency"]}))
-    code = ("import sys; from decoupling_lab.cli import main; "
-            f"code = main(['verify', '--config', {str(cfg_path)!r}]); "
-            "print(code, 'scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    for argv in (["verify", "--config", str(cfg_path)], ["verify", "--seed", "1"]):
+        code = ("import sys; from decoupling_lab.cli import main; "
+                f"code = main({argv!r}); "
+                "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.splitlines()[-1] == "0 False False", argv
 
 
 def test_cli_check_emptied_by_config_exits_2(tmp_path, capsys):

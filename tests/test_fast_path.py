@@ -6,6 +6,7 @@ the per-tuple callable path.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -116,17 +117,18 @@ def test_per_copy_weights_fast_equals_generic(name):
     rng = np.random.default_rng(13)
     for k, n in ((1, 3), (2, 4), (3, 4)):
         fast, generic = _pair(name, k, n)
-        slot_lists = ([range(3)] * k,  # every copy in every slot
-                      [(2, 0), (1,), (0, 2)][:k])  # multi-copy slots, out of order
+        pattern_sets = (itertools.product(range(3), repeat=k),  # every copy in every slot
+                        itertools.product(*[(2, 0), (1,), (0, 2)][:k]),  # copies out of order
+                        itertools.permutations(range(3), k))  # no product set at k >= 2
         # batched weights with one sample, one sample batch with shared weights,
         # and both batched
         shapes = (((n, 3), (5, n, 3)), ((5, n, 3), (n, 3)), ((5, n, 3), (5, n, 3)))
-        for slots in slot_lists:
+        for patterns in map(list, pattern_sets):
             for s_shape, w_shape in shapes:
                 s = rng.normal(size=s_shape)
                 weights = [rng.normal(size=w_shape) for _ in range(k)]
-                a = ustat_engine.slot_sum(fast, s, slots, weights)
-                b = ustat_engine.slot_sum(generic, s, slots, weights)
+                a = ustat_engine.slot_sum(fast, s, patterns, weights)
+                b = ustat_engine.slot_sum(generic, s, patterns, weights)
                 assert a.shape == b.shape == (5,) + ((2,) if fast.dim > 1 else ())
                 _close(a, b)
 
@@ -139,9 +141,10 @@ def test_one_hot_copy_weights_pick_one_pattern(make):
     s = np.random.default_rng(17).normal(size=(4, 3))
     for pattern in [(0, 1, 2), (2, 2, 0), (1, 0, 1)]:
         weights = [np.broadcast_to(np.arange(3) == p, (4, 3)) for p in pattern]
-        _close(ustat_engine.slot_sum(kf, s, [range(3)] * 3, weights),
+        _close(ustat_engine.slot_sum(kf, s, itertools.product(range(3), repeat=3), weights),
                pattern_sum(kf, s, pattern))
-    _close(ustat_engine.slot_sum(kf, s, [range(3)] * 3, [np.ones((4, 3))] * 3),
+    _close(ustat_engine.slot_sum(kf, s, itertools.product(range(3), repeat=3),
+                                 [np.ones((4, 3))] * 3),
            mixed_sum(kf, s, 3))
 
 
@@ -212,8 +215,8 @@ def test_expansion_residual_can_fail(monkeypatch):
     assert _identities_passed() == [True, True]
     slot_sum = ustat_engine.slot_sum
 
-    def first_copy_only(kf, s, slots, weights=None):
-        return slot_sum(kf, s, [sl[:1] for sl in slots], weights)
+    def first_copy_only(kf, s, patterns, weights=None):  # only the pattern (0, ..., 0)
+        return slot_sum(kf, s, [p for p in patterns if not any(p)], weights)
 
     # only the right side of the sign expansion goes through this binding
     monkeypatch.setattr(rz, "slot_sum", first_copy_only)
@@ -225,7 +228,8 @@ def test_mazur_orlicz_residual_can_fail(monkeypatch):
     slot_sum = ustat_engine.slot_sum
 
     def last_copy_dropped(kf, s, l):
-        return slot_sum(kf, np.asarray(s, dtype=float), [range(max(l - 1, 1))] * kf.k)
+        return slot_sum(kf, np.asarray(s, dtype=float),
+                        itertools.product(range(max(l - 1, 1)), repeat=kf.k))
 
     monkeypatch.setattr(ustat_engine, "mixed_sum", last_copy_dropped)
     # the exhaustive coefficient check does not sum, so it still passes

@@ -2,7 +2,7 @@
 the bodies they replaced.
 
 The references below are those bodies, kept here: slot_sum called the kernel
-once per (copy pattern, index tuple) and accumulated the terms in that order;
+once per (listed copy pattern, index tuple) and accumulated the terms in that order;
 sample_matrices searched the cumulative probabilities for each uniform draw;
 the coefficient multiplied each selector vector over the tuple's entries.  The
 new code must give the same sums (bit for bit on integer atoms, where every
@@ -32,11 +32,11 @@ CHUNK = prob_engine._CHUNK
 # generic slot_sum
 # ---------------------------------------------------------------------------
 
-def per_pattern_slot_sum(kf, s, slots, weights=None):
+def per_pattern_slot_sum(kf, s, patterns, weights=None):
     k = kf.k
     shapes = [s.shape[:-2]] + [w.shape[:-2] for w in weights or ()]
     acc = np.zeros(np.broadcast_shapes(*shapes) + ((kf.dim,) if kf.dim > 1 else ()))
-    for j in itertools.product(*slots):
+    for j in patterns:
         for idx in distinct_tuples(kf.n, k):
             term = kf.evaluate(idx, tuple(s[..., idx[r], j[r]] for r in range(k)))
             if weights is not None:
@@ -80,19 +80,24 @@ def _sign_weights(pattern, signs):
 
 
 def _cases(k, n, rng, draw):
-    """(slots, samples, weights): one pattern, the sign-batched two-copy slots,
-    all three copies on every slot, and slots that differ."""
+    """(patterns, samples, weights): one pattern, the sign-batched two-copy product set,
+    all three copies on every slot, slots of different copies, and two sets that are no
+    product set (the permutations, with weights, and the not-all-equal patterns)."""
     pattern = tuple(r % 2 for r in range(k))
-    yield [(p,) for p in pattern], draw((5, n, 2)), None
-    yield [(p,) for p in pattern], draw((n, 2)), None  # no batch axis
+    yield [pattern], draw((5, n, 2)), None
+    yield [pattern], draw((n, 2)), None  # no batch axis
     signs = 2 * rng.integers(0, 2, size=(6, n)) - 1
-    yield [(0, 1)] * k, draw((n, 2)), _sign_weights(pattern, signs)
-    yield [(0, 1)] * k, draw((6, n, 2)), _sign_weights(pattern, signs)
-    yield [range(3)] * k, draw((4, n, 3)), None
-    yield [(2, 0), (1,), (0, 2, 1)][:k], draw((3, n, 3)), None  # slots of different copies
+    two = list(itertools.product((0, 1), repeat=k))
+    yield two, draw((n, 2)), _sign_weights(pattern, signs)
+    yield two, draw((6, n, 2)), _sign_weights(pattern, signs)
+    yield list(itertools.product(range(3), repeat=k)), draw((4, n, 3)), None
+    yield list(itertools.product(*[(2, 0), (1,), (0, 2, 1)][:k])), draw((3, n, 3)), None
+    yield (list(itertools.permutations(range(3), k)), draw((3, n, 3)),
+           [draw((n, 3)) for _ in range(k)])
+    yield [p for p in two if len(set(p)) > 1], draw((5, n, 2)), None  # none at k = 1
 
 
-@pytest.mark.parametrize("block", [None, 12, 1])  # None: the default; 1 splits every slot
+@pytest.mark.parametrize("block", [None, 12, 1])  # None: the default; 1: a pattern per block
 @pytest.mark.parametrize("name", list(_kernels(1, 1)))
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (4, 3)])
 def test_slot_sum_matches_the_per_pattern_loop(name, n, k, block, monkeypatch):
@@ -102,16 +107,16 @@ def test_slot_sum_matches_the_per_pattern_loop(name, n, k, block, monkeypatch):
     rng = np.random.default_rng(10 * n + k)
     integer = lambda shape: rng.integers(-2, 3, size=shape).astype(float)
     nans = []
-    for slots, s, weights in _cases(k, n, rng, integer):
-        got = slot_sum(kf, s, slots, weights)
-        want = per_pattern_slot_sum(kf, s, slots, weights)
+    for patterns, s, weights in _cases(k, n, rng, integer):
+        got = slot_sum(kf, s, patterns, weights)
+        want = per_pattern_slot_sum(kf, s, patterns, weights)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
         nans += np.isnan(got).ravel().tolist()
     assert (name == "nan") == any(nans) and not all(nans)  # NaN where the atom 1 is read
-    for slots, s, weights in _cases(k, n, rng, rng.standard_normal):
-        got = slot_sum(kf, s, slots, weights)
-        want = per_pattern_slot_sum(kf, s, slots, weights)
+    for patterns, s, weights in _cases(k, n, rng, rng.standard_normal):
+        got = slot_sum(kf, s, patterns, weights)
+        want = per_pattern_slot_sum(kf, s, patterns, weights)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -125,10 +130,18 @@ def test_slot_sum_calls_the_kernel_once_per_index_tuple():
     rng = np.random.default_rng(0)
     for n, k in [(3, 1), (4, 2), (4, 3)]:
         kf = KernelFamily(k, n, counted)
-        for slots, s, weights in _cases(k, n, rng, rng.standard_normal):
+        for patterns, s, weights in _cases(k, n, rng, rng.standard_normal):
             calls.clear()
-            slot_sum(kf, s, slots, weights)
-            assert calls == list(distinct_tuples(n, k)) and len(calls) == math.perm(n, k)
+            slot_sum(kf, s, patterns, weights)
+            assert calls == (list(distinct_tuples(n, k)) if patterns else [])
+    # every statistic is one slot sum over its listed patterns: P(4, 3) = 24 calls in
+    # each mode, where one slot sum per permutation made 144 for 'symmetrized'
+    kf, s = KernelFamily(3, 4, counted), rng.standard_normal((10, 4, 3))
+    for mode, extra in [("coupled", {}), ("pattern", {"pattern": (2, 0, 1)}), ("mixed", {"l": 3}),
+                        ("not_all_equal", {}), ("symmetrized", {})]:
+        calls.clear()
+        StatisticSpec(kf, mode, **extra)(s)
+        assert calls == list(distinct_tuples(4, 3)) and len(calls) == math.perm(4, 3), mode
 
 
 def test_slot_sum_memory_does_not_grow_with_the_patterns():
@@ -144,7 +157,7 @@ def test_slot_sum_memory_does_not_grow_with_the_patterns():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 3 * s.nbytes  # measured: 1.8 MB, for 1 MB of samples
-    want = per_pattern_slot_sum(kf, s[:64], [range(l)] * k)
+    want = per_pattern_slot_sum(kf, s[:64], itertools.product(range(l), repeat=k))
     assert np.array_equal(got[:64], want)
 
 

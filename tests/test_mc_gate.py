@@ -68,8 +68,8 @@ def drop_the_constant(monkeypatch):
 def read_copy_0_in_every_slot(monkeypatch):
     slot_sum = ustat_engine.slot_sum
     monkeypatch.setattr(ustat_engine, "slot_sum",
-                        lambda kf, s, slots, weights=None:
-                        slot_sum(kf, s, [(0,)] * len(slots), weights))
+                        lambda kf, s, patterns, weights=None:
+                        slot_sum(kf, s, [(0,) * kf.k] * len(patterns), weights))
 
 
 def sample_copy_1_as_copy_0(monkeypatch):
