@@ -203,6 +203,8 @@ def _cmd_campaign(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.budget <= 0:
         raise ValidationError("enumeration budget must be positive")
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     dist = named_distribution(args.dist)
     kf = build_kernel(args.kernel, args.n, args.k, seed=args.seed or 0)
     spec = StatisticSpec(kf, args.mode, pattern=tuple(range(args.k)), l=args.l,

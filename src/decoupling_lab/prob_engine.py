@@ -29,6 +29,7 @@ MIN_TRIALS = 100  # fewest Monte Carlo trials mc_tail accepts
 KAPPA_MEAN_TOL = 1e-9  # |E Y| above this is not mean zero
 KAPPA_MAX_SUBSETS = 2 ** 16  # atom subsets kappa may take null vectors of
 _CHUNK = 2 ** 13  # values per aggregation block, trials per Monte Carlo chunk
+_EDGE_ATOMS = 16  # edge passes vs bisection per chunk: 0.5 vs 3.7 ms at 16 atoms, 6.4 vs 8.0 at 256
 
 
 @dataclass(frozen=True)
@@ -173,9 +174,24 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
 
 def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
                     trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw (trials, n, copies) sample matrices from `rng`, by inverse CDF lookup."""
+    """Draw (trials, n, copies) sample matrices from `rng`, by inverse CDF lookup.
+
+    A draw u takes atom i, the number of CDF edges at or below u: exactly
+    searchsorted(edges, u, "right").  Up to _EDGE_ATOMS atoms i is counted in one
+    `u >= edge` pass per edge, several times faster than a binary search per cell
+    on a Monte Carlo chunk.  The passes grow with the atoms, so wider laws bisect;
+    on one small sample matrix they cost a few microseconds more, about 1 ms over
+    the hundred single draws of a campaign.
+    """
     edges = np.cumsum(dist.probs_array())[:-1]
-    return dist.values_array()[edges.searchsorted(rng.random((trials, n, copies)), "right")]
+    u = rng.random((trials, n, copies))
+    if dist.size > _EDGE_ATOMS:
+        idx = edges.searchsorted(u, "right")
+    else:
+        idx = np.zeros(u.shape, dtype=np.uint8)  # at most 15: one byte per cell
+        for e in edges:
+            idx += u >= e
+    return dist.values_array().take(idx, axis=0)
 
 
 def _mc_norms(spec: StatisticSpec, dist: DiscreteDistribution, trials: int, seed: int):
@@ -206,7 +222,8 @@ def _mc_counts(spec: StatisticSpec, dist: DiscreteDistribution, law: DiscreteLaw
     for norms in _mc_norms(spec, dist, trials, seed):
         v = np.round(norms, _VALUE_DECIMALS)
         at = np.searchsorted(law.values, v)
-        on = at != np.searchsorted(law.values, v, "right")
+        hit = law.values[np.minimum(at, law.values.size - 1)]  # the first point >= v
+        on = (hit == v) | (np.isnan(hit) & np.isnan(v))
         counts += np.bincount(at[on], minlength=law.values.size)
         off += v.size - int(np.count_nonzero(on))
     return counts, off

@@ -66,10 +66,13 @@ def slot_sum(kf: KernelFamily, s: np.ndarray, patterns, weights=None) -> np.ndar
         if math.prod(map(len, slots)) != len(patterns):  # no product set: pattern by pattern
             return functools.reduce(np.add, (slot_sum(kf, s, [p], weights) for p in patterns))
         # multilinearity: the weighted copies of each slot add up column-wise
-        weights = weights or [np.ones(s.shape[-2:])] * k
-        cols = [(s[..., sl] * w[..., sl]).sum(axis=-1) for sl, w in zip(slots, weights)]
-        count = _contract(distinct_mask(kf.n, k),
-                          [w[..., sl].sum(axis=-1) for sl, w in zip(slots, weights)])
+        if weights is None:  # unit weights: every distinct tuple counts once per pattern
+            cols = [s[..., sl].sum(axis=-1) for sl in slots]
+            count = math.perm(kf.n, k) * len(patterns)
+        else:
+            cols = [(s[..., sl] * w[..., sl]).sum(axis=-1) for sl, w in zip(slots, weights)]
+            count = _contract(distinct_mask(kf.n, k),
+                              [w[..., sl].sum(axis=-1) for sl, w in zip(slots, weights)])
         const = np.broadcast_to(kf.const, kf.coeffs.shape[k:])  # () or (dim,)
         return _contract(kf.coeffs, cols) + np.multiply.outer(count, const)
     total, step = 0, max(1, _BLOCK // (math.prod(batch) * kf.dim))  # patterns per block

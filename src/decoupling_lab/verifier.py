@@ -613,6 +613,8 @@ class CorpusConfig:
     norm_kind: str = "euclidean"
 
     def __post_init__(self):
+        if self.seed < 0:  # NumPy seeds only non-negative integers
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for n, k in self.nk_pairs:
             if k > n:
                 raise ValidationError(f"configured pair n={n}, k={k} violates k <= n")

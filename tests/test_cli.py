@@ -145,6 +145,9 @@ def test_cli_oracle_prints_exact_law_of_each_mode(capsys, mode):
     (["--n", "2", "--k", "3"], "k=3 exceeds n=2"),
     (["--n", "2", "--k", "2", "--budget", "0"], "enumeration budget must be positive"),
     (["--n", "2", "--k", "2", "--budget", "-1"], "enumeration budget must be positive"),
+    # NumPy would raise "expected non-negative integer" and exit 1, the failed-check code
+    (["--kernel", "sym-coeff", "--n", "3", "--k", "2", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
 ])
 def test_cli_oracle_refuses_bad_input_with_exit_2(capsys, argv, message):
     assert main(["oracle", *argv]) == 2
@@ -344,8 +347,10 @@ def test_cli_ls_below_1_exits_2_before_any_check(tmp_path, capsys):
     ({"tolerances": {"identity": 1e300}}, [], "['tolerances']"),
     ({"checks": ["lemma1", "theorem1-upper"]}, [], "'theorem1-upper'"),
     ({}, ["--checks", "lemma1,theorem1-upper"], "'theorem1-upper'"),
+    ({"seed": -2}, [], "seed must be >= 0, got -2"),
+    ({}, ["--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["mc_trials", "trials-flag", "law_count", "tolerances", "hyphen-config",
-        "hyphen-flag"])
+        "hyphen-flag", "negative-seed", "negative-seed-flag"])
 def test_cli_rejected_config_exits_2_before_any_check(tmp_path, capsys, monkeypatch,
                                                       config, flags, message):
     def no_campaign(cfg):

@@ -3,10 +3,12 @@ the bodies they replaced.
 
 The references below are those bodies, kept here: slot_sum called the kernel
 once per (listed copy pattern, index tuple) and accumulated the terms in that order;
+the fast slot sum without weights ran its weighted rule on unit weights;
 sample_matrices searched the cumulative probabilities for each uniform draw;
 the coefficient multiplied each selector vector over the tuple's entries.  The
 new code must give the same sums (bit for bit on integer atoms, where every
-order of summation is exact), the same draws and the same coefficients.
+order of summation is exact, and always for unit weights), the same draws and
+the same coefficients.
 """
 
 import functools
@@ -18,8 +20,10 @@ import numpy as np
 import pytest
 
 from decoupling_lab import kernel, prob_engine, ustat_engine
-from decoupling_lab.kernel import (KernelFamily, distinct_tuples, first_argument_kernel,
-                                   mazur_orlicz_coefficient, symmetrize)
+from decoupling_lab.kernel import (KernelFamily, affine_product_kernel, constant_kernel,
+                                   distinct_tuples, first_argument_kernel,
+                                   mazur_orlicz_coefficient, product_kernel,
+                                   random_coefficient_kernel, symmetrize)
 from decoupling_lab.prob_engine import StatisticSpec, _mc_norms, sample_matrices
 from decoupling_lab.ustat_engine import slot_sum
 from decoupling_lab.value_space import DiscreteDistribution
@@ -162,6 +166,43 @@ def test_slot_sum_memory_does_not_grow_with_the_patterns():
 
 
 # ---------------------------------------------------------------------------
+# fast slot_sum without weights
+# ---------------------------------------------------------------------------
+
+def _fast_kernels(k, n):
+    return {"product": product_kernel(k, n),
+            "affine": affine_product_kernel(k, n, c=0.7),
+            "constant": constant_kernel(k, n, c=1.5),
+            "constant-dim2": constant_kernel(k, n, c=(0.3, -1.7), dim=2),
+            "coeff-dim2": random_coefficient_kernel(k, n, seed=5, dim=2)}
+
+
+def _listed_sets(k):
+    """The coupled, pattern, mixed l = 3, sign-expansion (0,1)^k and symmetrized sets."""
+    return {"coupled": [(0,) * k], "pattern": [tuple(range(k))[::-1]],
+            "mixed3": list(itertools.product(range(3), repeat=k)),
+            "signs": list(itertools.product((0, 1), repeat=k)),
+            "symmetrized": list(itertools.permutations(range(k)))}
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)], ids=["no-batch", "batch", "batch2"])
+@pytest.mark.parametrize("name", list(_fast_kernels(1, 1)))
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (4, 3)])
+def test_unweighted_fast_slot_sum_equals_unit_weights(name, n, k, batch):
+    kf = _fast_kernels(k, n)[name]
+    rng = np.random.default_rng(7 * n + k)
+    for set_name, patterns in _listed_sets(k).items():
+        s = rng.standard_normal(batch + (n, 3))
+        got = slot_sum(kf, s, patterns)
+        want = slot_sum(kf, s, patterns, [np.ones(s.shape[-2:])] * k)
+        assert got.shape == want.shape and np.array_equal(got, want), set_name
+    # on zero samples only the constant is left, once per distinct tuple and pattern
+    const_only = slot_sum(kf, np.zeros(batch + (n, 3)), _listed_sets(k)["mixed3"])
+    assert np.array_equal(const_only, np.broadcast_to(
+        math.perm(n, k) * 3 ** k * np.asarray(kf.const, dtype=float), const_only.shape))
+
+
+# ---------------------------------------------------------------------------
 # sample_matrices
 # ---------------------------------------------------------------------------
 
@@ -198,21 +239,23 @@ def test_sampler_matches_searchsorted_on_random_laws(m):
     assert got.shape == (400, 3, 2)
 
 
-@pytest.mark.parametrize("m", [2, 3, 7])
+# up to prob_engine._EDGE_ATOMS atoms the sampler counts edges, past it it bisects
+@pytest.mark.parametrize("m", [2, 3, 7, 16, 17, 40])
 def test_sampler_matches_searchsorted_when_the_cdf_ends_below_1(m):
     dist = _short_law(m)
     edges = np.cumsum(dist.probs_array())
     assert edges[-1] < 1.0
     _same_draws(dist, 4, 3, 1000, seed=m)
+    u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
+                        [0.0, np.nextafter(1.0, 0)]])
 
     class Uniforms:  # every edge, its neighbours, and draws past the last edge
         def random(self, shape):
-            u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
-                                [0.0, np.nextafter(1.0, 0)]])
+            assert math.prod(shape) >= u.size  # every one of them is drawn
             return np.resize(u, shape)
 
-    got = sample_matrices(dist, 2, 3, 7, Uniforms())
-    assert np.array_equal(got, searchsorted_sample(dist, 2, 3, 7, Uniforms()))
+    got = sample_matrices(dist, 2, 3, m + 1, Uniforms())
+    assert np.array_equal(got, searchsorted_sample(dist, 2, 3, m + 1, Uniforms()))
     assert got.max() == m - 1  # a draw past the last edge takes the last atom
 
 

@@ -6,7 +6,9 @@ and aggregated them with one sort and one bincount; mc_tail drew every trial
 from one Philox call and counted hits with count_nonzero.  Laws aggregated
 block by block and tails counted chunk by chunk must equal them bit for bit,
 in memory bounded by the chunk.  The support counts mc_consistency gates must
-equal the hits of the same one-shot draws at every support point.
+equal the hits of the same one-shot draws at every support point, and the
+counts of the rule they replaced, which looked each norm up twice (left and
+right) and took it as on the support when the two lookups differed.
 """
 
 import functools
@@ -153,6 +155,47 @@ def test_support_counts_match_one_shot_hits(trials, kf):
     short = DiscreteLaw(law.values[keep], law.probs[keep] / law.probs[keep].sum())
     counts, off = _mc_counts(spec, uniform(3), short, trials, seed=11)
     assert counts.tolist() == hits[:top] + hits[top + 1:] and off == hits[top] > 0
+
+
+def two_lookup_counts(spec, dist, law, trials, seed):
+    counts, off = np.zeros(law.values.size, dtype=np.int64), 0
+    for norms in prob_engine._mc_norms(spec, dist, trials, seed):
+        v = np.round(norms, _VALUE_DECIMALS)
+        at = np.searchsorted(law.values, v)
+        on = at != np.searchsorted(law.values, v, "right")
+        counts += np.bincount(at[on], minlength=law.values.size)
+        off += v.size - int(np.count_nonzero(on))
+    return counts, off
+
+
+def _without(law, i):
+    keep = np.arange(law.values.size) != i
+    return DiscreteLaw(law.values[keep], law.probs[keep] / law.probs[keep].sum())
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-point"])
+def test_support_counts_match_the_two_lookup_rule(nan):
+    trials = CHUNK + 1
+    if nan:  # the drawn points, NaN last
+        spec = StatisticSpec(KernelFamily(2, 3, _nan_on_atom_1), "coupled")
+        norms = one_shot_norms(spec, uniform(3), trials, seed=3)
+        law = aggregate_law(norms, np.ones(norms.size))
+        assert np.isnan(law.values[-1])
+    else:
+        spec = StatisticSpec(random_coefficient_kernel(2, 4, seed=2), "pattern", pattern=(0, 1))
+        law = exact_law(spec, uniform(3))
+    rounded = np.round(one_shot_norms(spec, uniform(3), trials, seed=3), _VALUE_DECIMALS)
+    finite = np.flatnonzero(np.isfinite(law.values))
+    # the whole law, then without its smallest point, its largest finite point and
+    # its last point: draws below the first point and past the last are off it
+    for drop in (None, 0, finite[-1], law.values.size - 1):
+        short = law if drop is None else _without(law, drop)
+        counts, off = _mc_counts(spec, uniform(3), short, trials, seed=3)
+        want_counts, want_off = two_lookup_counts(spec, uniform(3), short, trials, seed=3)
+        assert np.array_equal(counts, want_counts) and off == want_off
+        missed = 0 if drop is None else np.count_nonzero(
+            (rounded == law.values[drop]) | np.isnan(rounded) & np.isnan(law.values[drop]))
+        assert off == missed and (drop is None or missed > 0)
 
 
 @pytest.mark.parametrize("mode,args", [("coupled", {}), ("pattern", {"pattern": (0, 1)}),
