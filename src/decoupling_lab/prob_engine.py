@@ -29,7 +29,7 @@ MIN_TRIALS = 100  # fewest Monte Carlo trials mc_tail accepts
 KAPPA_MEAN_TOL = 1e-9  # |E Y| above this is not mean zero
 KAPPA_MAX_SUBSETS = 2 ** 16  # atom subsets kappa may take null vectors of
 _CHUNK = 2 ** 13  # values per aggregation block, trials per Monte Carlo chunk
-_EDGE_ATOMS = 16  # edge passes vs bisection per chunk: 0.5 vs 3.7 ms at 16 atoms, 6.4 vs 8.0 at 256
+_EDGE_ATOMS = 256  # a one-byte atom index; per chunk, edge passes tie bisection near here
 
 
 @dataclass(frozen=True)
@@ -178,17 +178,19 @@ def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
 
     A draw u takes atom i, the number of CDF edges at or below u: exactly
     searchsorted(edges, u, "right").  Up to _EDGE_ATOMS atoms i is counted in one
-    `u >= edge` pass per edge, several times faster than a binary search per cell
-    on a Monte Carlo chunk.  The passes grow with the atoms, so wider laws bisect;
-    on one small sample matrix they cost a few microseconds more, about 1 ms over
-    the hundred single draws of a campaign.
+    `u >= edge` pass per edge into a one-byte index.  On a Monte Carlo chunk of
+    8,192 x 5 x 3 cells (two shared cores, NumPy 2.4) that is 0.8-0.9 ms against
+    1.9-2.8 ms by bisection at 2-4 atoms, 1.2 against 5.8 at 16, and 10.4 against
+    11.2 at 256, where the byte index ends; wider laws bisect.  The byte index is
+    what makes the passes cheap: with an intp index they lost 3x at 256 atoms.  A
+    single small sample matrix pays about 1.7 us per edge against a flat 1 us.
     """
     edges = np.cumsum(dist.probs_array())[:-1]
     u = rng.random((trials, n, copies))
     if dist.size > _EDGE_ATOMS:
         idx = edges.searchsorted(u, "right")
     else:
-        idx = np.zeros(u.shape, dtype=np.uint8)  # at most 15: one byte per cell
+        idx = np.zeros(u.shape, dtype=np.uint8)  # at most 255: one byte per cell
         for e in edges:
             idx += u >= e
     return dist.values_array().take(idx, axis=0)
