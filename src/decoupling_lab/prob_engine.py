@@ -4,7 +4,7 @@ A statistic is a `ustat_engine.StatisticSpec`, which names, validates and
 evaluates it; this module computes the law of its norm.  Exact laws by
 column-grid contraction; mixed laws on per-row count vectors.
 Either way the law covers every sample-matrix realization exactly.  Monte
-Carlo tails and support counts draw from a counter-based (Philox) generator,
+Carlo tails and support counts draw from a PCG64 generator keyed by the seed,
 so identical (seed, spec) inputs give bit-identical output regardless of
 scheduling.
 kappa is exact in every dimension, a minimum over finitely many directions.
@@ -173,7 +173,7 @@ def exact_law(spec: StatisticSpec, dist: DiscreteDistribution,
 
 
 def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
-                    trials: int, rng: np.random.Generator) -> np.ndarray:
+                    trials: int, rng: np.random.Generator, out=None) -> np.ndarray:
     """Draw (trials, n, copies) sample matrices from `rng`, by inverse CDF lookup.
 
     A draw u takes atom i, the number of CDF edges at or below u: exactly
@@ -184,24 +184,34 @@ def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
     11.2 at 256, where the byte index ends; wider laws bisect.  The byte index is
     what makes the passes cheap: with an intp index they lost 3x at 256 atoms.  A
     single small sample matrix pays about 1.7 us per edge against a flat 1 us.
+    `out`, if given, is (draws, mask, index, samples): buffers of this call's shapes
+    and dtypes that are refilled, the samples buffer returned, instead of allocated.
     """
     edges = np.cumsum(dist.probs_array())[:-1]
-    u = rng.random((trials, n, copies))
+    u, mask, idx, samples = out or (None, None, None, None)
+    u = rng.random((trials, n, copies), out=u)
     if dist.size > _EDGE_ATOMS:
         idx = edges.searchsorted(u, "right")
     else:
-        idx = np.zeros(u.shape, dtype=np.uint8)  # at most 255: one byte per cell
+        idx = np.empty(u.shape, dtype=np.uint8) if idx is None else idx  # at most 255
+        idx.fill(0)  # one byte per cell
         for e in edges:
-            idx += u >= e
-    return dist.values_array().take(idx, axis=0)
+            idx += np.greater_equal(u, e, out=mask)
+    return dist.values_array().take(idx, axis=0, out=samples, mode="clip")  # idx < size
 
 
 def _mc_norms(spec: StatisticSpec, dist: DiscreteDistribution, trials: int, seed: int):
-    """Norms of `trials` sampled statistics, _CHUNK at a time, from one Philox stream."""
-    rng = np.random.Generator(np.random.Philox(key=seed))  # one for all chunks
+    """Norms of `trials` sampled statistics, _CHUNK at a time, from one PCG64 stream
+    that the corpus stream default_rng(seed) never replays, since its seed sequence
+    has a spawn key.  The chunks refill one set of sample_matrices buffers."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+    shape = (min(_CHUNK, trials), spec.kernel.n, spec.copies_needed)
+    out = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8),
+           np.empty(shape + dist.values_array().shape[1:]))
     for done in range(0, trials, _CHUNK):
+        size = min(_CHUNK, trials - done)
         yield evaluate_norms(spec, sample_matrices(
-            dist, spec.kernel.n, spec.copies_needed, min(_CHUNK, trials - done), rng))
+            dist, spec.kernel.n, spec.copies_needed, size, rng, [b[:size] for b in out]))
 
 
 def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,

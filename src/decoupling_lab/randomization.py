@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .kernel import KernelFamily
-from .ustat_engine import StatisticSpec, mixed_sum, slot_sum
+from .ustat_engine import StatisticSpec, mixed_sum, slot_sum  # mixed_sum: re-exported
 from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm
 
 
@@ -59,23 +59,26 @@ def selector_couple(s: np.ndarray, choices) -> np.ndarray:
     return s[..., np.arange(s.shape[-2]), choices]
 
 
-def expansion_residual_batch(kf: KernelFamily, s: np.ndarray,
-                             signs: np.ndarray, pattern) -> np.ndarray:
-    """Residual of the 2^k sign-product expansion, per sign vector in the batch.
+def expansion_residual_batch(kf: KernelFamily, s: np.ndarray, signs: np.ndarray):
+    """Residuals of the 2^k sign-product expansion, for every target pattern at once.
 
-    Left side: 2^k times the pattern sum on the coupled sample.  Right side:
-    one slot sum over all 2^k copy patterns j of the original sample, each
-    term weighted by the product over slots r of (1 + sign) when j_r matches
-    the target pattern and (1 - sign) otherwise.  The contract is that the
-    residual is identically 0.
+    Targets are the patterns of (0,1)^k in product order, on a leading axis.  Left
+    side: 2^k times each target's pattern sum on the sample coupled by each sign
+    vector of the (B, n) batch, one slot sum over (0,1)^k whose one-hot copy
+    weights pick the target.  Right side: one slot sum over (0,1)^k on the original
+    sample, each term weighted by the product over slots r of (1 + sign) when j_r
+    matches the target pattern and (1 - sign) otherwise.  Returns the (2^k, B)
+    residuals, identically 0 by contract, and the coupled pattern sums averaged over
+    the batch: over all 2^n sign vectors, each target's sign conditional expectation.
     """
-    s = np.asarray(s, dtype=float)
-    signs = np.asarray(signs, dtype=np.int64)[..., None]  # (..., n, 1): weights' copy axis
-    spec = StatisticSpec(kf, "pattern", pattern)
-    lhs = (2.0 ** kf.k) * spec(sign_couple(s, signs[..., 0]))
-    weights = [np.where(np.arange(2) == p, 1 + signs, 1 - signs) for p in spec.pattern]
-    rhs = slot_sum(kf, s, itertools.product((0, 1), repeat=kf.k), weights)
-    return batch_norm(lhs - rhs, "euclidean", kf.dim)
+    s, signs = np.asarray(s, dtype=float), np.asarray(signs, dtype=np.int64)
+    patterns = list(itertools.product((0, 1), repeat=kf.k))
+    targets = np.array(patterns).T[:, :, None, None, None] == np.arange(2)  # (k, 2^k, 1, 1, 2)
+    rows = np.ones((s.shape[-2], 1), dtype=bool)  # one-hot weights need the row axis
+    coupled = slot_sum(kf, sign_couple(s, signs), patterns, list(targets & rows))
+    rhs = slot_sum(kf, s, patterns, list(np.where(targets, 1 + signs[..., None],
+                                                  1 - signs[..., None])))
+    return batch_norm(2.0 ** kf.k * coupled - rhs, "euclidean", kf.dim), coupled.mean(axis=1)
 
 
 def sign_conditional_expectation(kf: KernelFamily, s: np.ndarray, pattern):
@@ -145,16 +148,10 @@ def distributional_equality_check(dist: DiscreteDistribution, n: int,
     return 0.5 * float(np.abs(induced - reference).sum()) <= 1e-12
 
 
-def pattern_invariance_spread(kf: KernelFamily, s: np.ndarray,
-                              norm_kind: str = "euclidean") -> float:
-    """Max distance between sign conditional expectations across all patterns.
-
-    The identity says all 2^k patterns give the same value, namely
-    2^{-k} mixed_sum(l=2); the return value should be ~0.
+def pattern_invariance_spread(expectations, mixed, norm_kind: str = "euclidean") -> float:
+    """Max distance between the sign conditional expectations of all 2^k patterns
+    (one per row, as `expansion_residual_batch` averages them) and 2^{-k} times the
+    two-copy mixed sum `mixed`, their common value by the identity; should be ~0.
     """
-    target = np.asarray(mixed_sum(kf, s, 2), dtype=float) / (2.0 ** kf.k)
-    worst = 0.0
-    for pattern in itertools.product((0, 1), repeat=kf.k):
-        ce = np.asarray(sign_conditional_expectation(kf, s, pattern), dtype=float)
-        worst = max(worst, norm(ce - target, norm_kind))
-    return worst
+    target = np.asarray(mixed, dtype=float) / len(expectations)
+    return max(norm(ce - target, norm_kind) for ce in np.asarray(expectations, dtype=float))

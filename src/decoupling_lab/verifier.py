@@ -414,23 +414,20 @@ def _identities(cfg, rng, instances, **_):
             continue
         copies = max(k, max(cfg.ls, default=1), 2)
         s = sample_matrices(dist, n, copies, 1, rng)[0]
-        worst = 0.0
-        signs = rz.all_sign_vectors(n)
-        for pattern in itertools.product((0, 1), repeat=k):
-            res = rz.expansion_residual_batch(kf, s[:, :2], signs, pattern)
-            worst = max(worst, float(np.max(res)))
-        worst = max(worst, rz.pattern_invariance_spread(kf, s[:, :2], cfg.norm_kind))
+        res, ces = rz.expansion_residual_batch(kf, s[:, :2], rz.all_sign_vectors(n))
+        mixed = np.asarray(ue.mixed_sum(kf, s, 2))  # the spread, l = 2 and partition target
+        worst = max(float(np.max(res)), rz.pattern_invariance_spread(ces, mixed, cfg.norm_kind))
         try:
             for l in cfg.ls:
                 ce = np.asarray(rz.selector_conditional_expectation(kf, s, l))
-                target = np.asarray(ue.mixed_sum(kf, s, l)) / float(l ** k)
+                target = (mixed if l == 2 else np.asarray(ue.mixed_sum(kf, s, l))) / float(l ** k)
                 worst = max(worst, norm(ce - target, cfg.norm_kind))
         except _UNFINISHED as e:
             yield Skip(inst, e)
             continue
         # the two-copy mixed sum (a product set) less its partition: both all-equal
         # pattern sums and the not_all_equal sum (a listed set)
-        partition = (np.asarray(ue.mixed_sum(kf, s, 2)) - ue.pattern_sum(kf, s, (0,) * k)
+        partition = (mixed - ue.pattern_sum(kf, s, (0,) * k)
                      - ue.pattern_sum(kf, s, (1,) * k) - ue.not_all_equal_sum(kf, s))
         worst = max(worst, norm(partition, cfg.norm_kind))
         yield Outcome(inst, worst <= IDENTITY_TOL, {"max_residual": worst}, n, k)

@@ -161,9 +161,11 @@ def test_randomization_helpers_fast_equals_generic(name):
                    StatisticSpec(generic, "pattern", pattern)(coupled))
             _close(rz.sign_conditional_expectation(fast, s[:, :2], pattern),
                    rz.sign_conditional_expectation(generic, s[:, :2], pattern))
-            for kf in (fast, generic):
-                res = rz.expansion_residual_batch(kf, s[:, :2], signs, pattern)
-                assert res.shape == (2 ** n,) and np.max(res) <= 1e-9
+        (res, ces), (res_generic, ces_generic) = (
+            rz.expansion_residual_batch(kf, s[:, :2], signs) for kf in (fast, generic))
+        for r in (res, res_generic):  # one row per target pattern, one column per sign vector
+            assert r.shape == (2 ** k, 2 ** n) and np.max(r) <= 1e-9
+        _close(ces, ces_generic)
         for l in (1, 2, 3):
             _close(rz.selector_conditional_expectation(fast, s, l),
                    rz.selector_conditional_expectation(generic, s, l))
@@ -218,8 +220,34 @@ def test_expansion_residual_can_fail(monkeypatch):
     def first_copy_only(kf, s, patterns, weights=None):  # only the pattern (0, ..., 0)
         return slot_sum(kf, s, [p for p in patterns if not any(p)], weights)
 
-    # only the right side of the sign expansion goes through this binding
+    # both sides of the sign expansion go through this binding
     monkeypatch.setattr(rz, "slot_sum", first_copy_only)
+    assert _identities_passed() == [False, False]
+
+
+def ignore_the_sign_of_row_1(monkeypatch):
+    # row 1: both samples differ there between the two copies, so its swap is seen
+    # (swapping equal entries changes nothing; both samples are equal in row 0)
+    sign_couple = rz.sign_couple
+    monkeypatch.setattr(rz, "sign_couple", lambda s, signs: sign_couple(
+        s, np.where(np.arange(signs.shape[-1]) == 1, 1, signs)))
+
+
+def flip_one_residual_weight(monkeypatch):
+    slot_sum = ustat_engine.slot_sum
+
+    def flipped(kf, s, patterns, weights=None):
+        if weights is not None and s.ndim == 2:  # the right side: the uncoupled sample
+            weights = [w.copy() for w in weights]
+            weights[0][..., 0, :] *= -1  # slot 0's weight on row 0, every copy
+        return slot_sum(kf, s, patterns, weights)
+    monkeypatch.setattr(rz, "slot_sum", flipped)
+
+
+@pytest.mark.parametrize("fault", [ignore_the_sign_of_row_1, flip_one_residual_weight])
+def test_sign_identity_faults_fail_identities(monkeypatch, fault):
+    assert _identities_passed() == [True, True]
+    fault(monkeypatch)
     assert _identities_passed() == [False, False]
 
 

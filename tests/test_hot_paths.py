@@ -1,14 +1,16 @@
-"""The generic slot sum, the sampler and the Mazur-Orlicz coefficient against
-the bodies they replaced.
+"""The generic slot sum, the sign identities, the sampler and the Mazur-Orlicz
+coefficient against the bodies they replaced.
 
 The references below are those bodies, kept here: slot_sum called the kernel
 once per (listed copy pattern, index tuple) and accumulated the terms in that order;
 the fast slot sum without weights ran its weighted rule on unit weights;
+expansion_residual_batch took one target pattern per call and the spread averaged
+one pattern sum per target over all sign vectors;
 sample_matrices searched the cumulative probabilities for each uniform draw;
 the coefficient multiplied each selector vector over the tuple's entries.  The
 new code must give the same sums (bit for bit on integer atoms, where every
-order of summation is exact, and always for unit weights), the same draws and
-the same coefficients.
+order of summation is exact, and always for unit weights), the same residuals and
+conditional expectations (within 1e-12), the same draws and the same coefficients.
 """
 
 import functools
@@ -19,17 +21,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decoupling_lab import kernel, prob_engine, ustat_engine
+from decoupling_lab import kernel, prob_engine, randomization as rz, ustat_engine
 from decoupling_lab.kernel import (KernelFamily, affine_product_kernel, constant_kernel,
                                    distinct_tuples, first_argument_kernel,
                                    mazur_orlicz_coefficient, product_kernel,
                                    random_coefficient_kernel, symmetrize)
 from decoupling_lab.prob_engine import StatisticSpec, _mc_norms, sample_matrices
-from decoupling_lab.ustat_engine import slot_sum
-from decoupling_lab.value_space import DiscreteDistribution
+from decoupling_lab.ustat_engine import mixed_sum, slot_sum
+from decoupling_lab.value_space import DiscreteDistribution, batch_norm
 from decoupling_lab.verifier import mazur_orlicz_exhaustive
 
 CHUNK = prob_engine._CHUNK
+
+
+def mc_rng(seed):
+    """The Monte Carlo generator: PCG64, keyed apart from the corpus stream default_rng(seed)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +210,75 @@ def test_unweighted_fast_slot_sum_equals_unit_weights(name, n, k, batch):
 
 
 # ---------------------------------------------------------------------------
+# the sign identities, every target pattern in one slot sum per side
+# ---------------------------------------------------------------------------
+
+def per_target_identities(kf, s, signs):
+    """The residuals of one expansion_residual_batch call per target pattern, and the
+    sign conditional expectation of each target, one coupled pattern sum each."""
+    residuals, expectations = [], []
+    for pattern in itertools.product((0, 1), repeat=kf.k):
+        coupled = StatisticSpec(kf, "pattern", pattern)(rz.sign_couple(s, signs))
+        rhs = slot_sum(kf, s, itertools.product((0, 1), repeat=kf.k),
+                       _sign_weights(pattern, signs))
+        residuals.append(batch_norm((2.0 ** kf.k) * coupled - rhs, "euclidean", kf.dim))
+        expectations.append(np.mean(coupled, axis=0))
+    return np.array(residuals), np.array(expectations)
+
+
+def _finite_kernels(k, n):
+    """Every fast kernel and the corpus's coefficient classes, each also without its
+    tensor, and the finite callable ones."""
+    fast = {**_fast_kernels(k, n), "coeff": random_coefficient_kernel(k, n, seed=3),
+            "sym-coeff": random_coefficient_kernel(k, n, seed=4, symmetric=True)}
+    generic = {f"{name}-generic": KernelFamily(kf.k, kf.n, kf.evaluate, dim=kf.dim)
+               for name, kf in fast.items()}
+    return {**fast, **generic, **{name: kf for name, kf in _kernels(k, n).items()
+                                  if name != "nan"}}  # a NaN term reaches every target
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (4, 3), (6, 3)])
+def test_batched_sign_identities_match_the_per_target_loop(n, k):
+    rng = np.random.default_rng(n + 10 * k)
+    signs = rz.all_sign_vectors(n)
+    for name, kf in _finite_kernels(k, n).items():
+        s = rng.standard_normal((n, 2))
+        got_res, got_ce = rz.expansion_residual_batch(kf, s, signs)
+        want_res, want_ce = per_target_identities(kf, s, signs)
+        assert got_res.shape == want_res.shape == (2 ** k, 2 ** n), name
+        assert got_ce.shape == want_ce.shape, name
+        np.testing.assert_allclose(got_res, want_res, rtol=1e-12, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(got_ce, want_ce, rtol=1e-12, atol=1e-12, err_msg=name)
+        some = signs[rng.permutation(2 ** n)[:5]]  # a batch that is not every sign vector
+        np.testing.assert_allclose(rz.expansion_residual_batch(kf, s, some)[0],
+                                   per_target_identities(kf, s, some)[0],
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 3), (6, 3)])
+def test_sign_identities_call_the_kernel_three_times_per_tuple(n, k):
+    """Residuals plus spread: one slot sum per side and the two-copy mixed sum, where
+    a call per target pattern and side, the mixed sum and a conditional expectation
+    per target made (3 * 2^k + 1) * P(n, k) calls."""
+    calls = []
+    first = first_argument_kernel(k, n)
+
+    def counted(idx, args):
+        calls.append(idx)
+        return first.evaluate(idx, args)
+
+    kf = KernelFamily(k, n, counted)
+    s = np.random.default_rng(n).integers(-2, 3, size=(n, 2)).astype(float)
+    _, expectations = rz.expansion_residual_batch(kf, s, rz.all_sign_vectors(n))
+    rz.pattern_invariance_spread(expectations, mixed_sum(kf, s, 2))
+    assert len(calls) <= 3 * math.perm(n, k)
+
+
+# ---------------------------------------------------------------------------
 # sample_matrices
 # ---------------------------------------------------------------------------
 
-def searchsorted_sample(dist, n, copies, trials, rng):
+def searchsorted_sample(dist, n, copies, trials, rng, out=None):  # allocates: out unused
     idx = np.cumsum(dist.probs_array()).searchsorted(rng.random((trials, n, copies)), "right")
     return dist.values_array()[np.minimum(idx, dist.size - 1)]
 
@@ -225,7 +297,7 @@ def _short_law(m):
 
 
 def _same_draws(dist, n, copies, trials, seed):
-    rng_new, rng_old = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+    rng_new, rng_old = (mc_rng(seed) for _ in range(2))
     got = sample_matrices(dist, n, copies, trials, rng_new)
     want = searchsorted_sample(dist, n, copies, trials, rng_old)
     assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -250,7 +322,7 @@ def test_sampler_matches_searchsorted_when_the_cdf_ends_below_1(m):
                         [0.0, np.nextafter(1.0, 0)]])
 
     class Uniforms:  # every edge, its neighbours, and draws past the last edge
-        def random(self, shape):
+        def random(self, shape, out=None):
             assert math.prod(shape) >= u.size  # every one of them is drawn
             return np.resize(u, shape)
 

@@ -192,7 +192,7 @@ def test_mc_tail_deterministic():
 
 
 def test_sample_matrices_shape_and_support():
-    rng = np.random.Generator(np.random.Philox(key=1))
+    rng = np.random.default_rng(1)
     s = sample_matrices(uniform(3), 4, 2, trials=500, rng=rng)
     assert s.shape == (500, 4, 2)
     assert set(np.unique(s)) <= {-1.0, 0.0, 1.0}

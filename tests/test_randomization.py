@@ -59,8 +59,11 @@ def test_expansion_residual_all_plus_signs():
     kf = product_kernel(2, 3)
     rng = np.random.default_rng(1)
     s = rng.normal(size=(3, 2))
-    res = expansion_residual_batch(kf, s, np.array([[1, 1, 1]]), (0, 1))
-    assert res.shape == (1,) and res[0] <= 1e-12
+    res, means = expansion_residual_batch(kf, s, np.array([[1, 1, 1]]))
+    assert res.shape == (4, 1) and np.max(res) <= 1e-12
+    # all signs +1 leave the sample as it is: each target's own pattern sum
+    np.testing.assert_allclose(means, [pattern_sum(kf, s, p) for p in
+                                       itertools.product((0, 1), repeat=2)], atol=1e-12)
 
 
 @pytest.mark.parametrize("pattern", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -68,18 +71,18 @@ def test_expansion_residual_random_signs(pattern):
     kf = product_kernel(2, 3)
     rng = np.random.default_rng(2)
     s = rng.choice([-1.0, 1.0], size=(3, 2))
-    signs = all_sign_vectors(3)
-    res = expansion_residual_batch(kf, s, signs, pattern)
-    assert float(np.max(res)) <= 1e-12
+    res, _ = expansion_residual_batch(kf, s, all_sign_vectors(3))
+    row = list(itertools.product((0, 1), repeat=2)).index(pattern)  # targets in product order
+    assert res.shape == (4, 8) and float(np.max(res[row])) <= 1e-12
 
 
 def test_expansion_residual_k3():
-    # the k = 3 case with mixed copy pattern (0, 0, 1)
+    # the k = 3 case, every target pattern including the mixed (0, 0, 1)
     kf = random_coefficient_kernel(3, 4, seed=9)
     rng = np.random.default_rng(3)
     s = rng.normal(size=(4, 2))
-    res = expansion_residual_batch(kf, s, all_sign_vectors(4), (0, 0, 1))
-    assert float(np.max(res)) <= 1e-12
+    res, _ = expansion_residual_batch(kf, s, all_sign_vectors(4))
+    assert res.shape == (8, 16) and float(np.max(res)) <= 1e-12
 
 
 def test_sign_conditional_expectation_constant():
@@ -94,7 +97,11 @@ def test_sign_conditional_expectation_pattern_invariant():
     kf = random_coefficient_kernel(2, 4, seed=1)
     rng = np.random.default_rng(4)
     s = rng.normal(size=(4, 2))
-    assert pattern_invariance_spread(kf, s) <= 1e-12
+    _, ces = expansion_residual_batch(kf, s, all_sign_vectors(4))
+    for ce, pattern in zip(ces, itertools.product((0, 1), repeat=2)):
+        assert ce == pytest.approx(sign_conditional_expectation(kf, s, pattern), abs=1e-12)
+    assert pattern_invariance_spread(ces, mixed_sum(kf, s, 2)) <= 1e-12
+    assert pattern_invariance_spread(ces, 1.01 * mixed_sum(kf, s, 2)) > 1e-3
 
 
 def test_selector_couple():

@@ -3,12 +3,14 @@
 The references below are the one-shot bodies the streamed code replaced,
 kept here: exact_law built every realization's norm and probability at once
 and aggregated them with one sort and one bincount; mc_tail drew every trial
-from one Philox call and counted hits with count_nonzero.  Laws aggregated
-block by block and tails counted chunk by chunk must equal them bit for bit,
-in memory bounded by the chunk.  The support counts mc_consistency gates must
-equal the hits of the same one-shot draws at every support point, and the
-counts of the rule they replaced, which looked each norm up twice (left and
-right) and took it as on the support when the two lookups differed.
+from one call of its PCG64 generator and counted hits with count_nonzero.  Laws
+aggregated block by block and tails counted chunk by chunk, on sample buffers
+reused from chunk to chunk, must equal them bit for bit, in memory bounded by
+the chunk; the Monte Carlo stream never replays the corpus stream.  The support
+counts mc_consistency gates must equal the hits of the same one-shot draws at
+every support point, and the counts of the rule they replaced, which looked each
+norm up twice (left and right) and took it as on the support when the two
+lookups differed.
 """
 
 import functools
@@ -24,8 +26,9 @@ from decoupling_lab.kernel import (KernelFamily, _cell_tensor, first_argument_ke
                                    random_coefficient_kernel)
 from decoupling_lab.prob_engine import (_VALUE_DECIMALS, DiscreteLaw, StatisticSpec,
                                         _count_vectors, _grid_contract, _mc_counts,
-                                        aggregate_law, evaluate_norms, exact_law, mc_tail)
-from decoupling_lab.value_space import batch_norm, rademacher, uniform
+                                        _mc_norms, aggregate_law, evaluate_norms, exact_law,
+                                        mc_tail, sample_matrices)
+from decoupling_lab.value_space import DiscreteDistribution, batch_norm, rademacher, uniform
 
 CHUNK = prob_engine._CHUNK
 
@@ -58,9 +61,13 @@ def one_shot_exact_law(spec, dist) -> DiscreteLaw:
     return one_shot_law(batch_norm(values, spec.norm_kind, kf.dim), probs)
 
 
+def mc_rng(seed):
+    """The Monte Carlo generator: PCG64, keyed apart from the corpus stream default_rng(seed)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+
+
 def one_shot_norms(spec, dist, trials, seed) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((trials, spec.kernel.n, spec.copies_needed))
+    u = mc_rng(seed).random((trials, spec.kernel.n, spec.copies_needed))
     cum = np.cumsum(dist.probs_array())
     idx = np.minimum(np.searchsorted(cum, u, side="right"), dist.size - 1)
     return evaluate_norms(spec, dist.values_array()[idx])
@@ -123,6 +130,31 @@ def test_chunked_mc_tail_matches_one_shot(trials, kf):
     grid = np.linspace(0.0, 12.0, 25)
     got = mc_tail(spec, uniform(3), grid, trials, seed=11)
     assert np.array_equal(got, one_shot_mc_tail(spec, uniform(3), grid, trials, seed=11))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+def test_mc_stream_never_replays_the_corpus_stream(seed):
+    spec = StatisticSpec(random_coefficient_kernel(2, 4, seed=2), "pattern", pattern=(0, 1))
+    first = next(_mc_norms(spec, uniform(3), 100, seed))
+    corpus = evaluate_norms(spec, sample_matrices(uniform(3), 4, 2, 100,
+                                                  np.random.default_rng(seed)))
+    assert not np.array_equal(first, corpus)
+
+
+_WIDE = DiscreteDistribution(tuple(float(i) for i in range(300)), (1 / 300,) * 300)
+
+
+@pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("dist", [uniform(3), _WIDE], ids=["edges", "bisection"])
+@pytest.mark.parametrize("kf", [random_coefficient_kernel(2, 4, seed=2, symmetric=True),
+                                first_argument_kernel(2, 4)], ids=["fast", "callable"])
+def test_buffered_mc_norms_match_one_shot_draws(trials, dist, kf):
+    spec = StatisticSpec(kf, "pattern", pattern=(0, 1))
+    chunks = list(_mc_norms(spec, dist, trials, seed=5))  # each chunk kept as yielded
+    want = evaluate_norms(spec, sample_matrices(dist, 4, 2, trials, mc_rng(5)))
+    assert [c.size for c in chunks] == [min(CHUNK, trials - a) for a in range(0, trials, CHUNK)]
+    assert np.array_equal(np.concatenate(chunks), want)  # no later chunk overwrote one
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(chunks) for b in chunks[i + 1:])
 
 
 def _nan_on_atom_1(idx, args):  # NaN whenever the first argument is the atom 1
