@@ -188,13 +188,13 @@ def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
     and dtypes that are refilled, the samples buffer returned, instead of allocated.
     """
     edges = np.cumsum(dist.probs_array())[:-1]
-    u, mask, idx, samples = out or (None, None, None, None)
+    u, mask, idx, samples = out or (None,) * 4
     u = rng.random((trials, n, copies), out=u)
     if dist.size > _EDGE_ATOMS:
         idx = edges.searchsorted(u, "right")
     else:
-        idx = np.empty(u.shape, dtype=np.uint8) if idx is None else idx  # at most 255
-        idx.fill(0)  # one byte per cell
+        idx = np.empty(u.shape, dtype=np.uint8) if idx is None else idx  # at most 255: a byte
+        idx.fill(0)
         for e in edges:
             idx += np.greater_equal(u, e, out=mask)
     return dist.values_array().take(idx, axis=0, out=samples, mode="clip")  # idx < size
