@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .value_space import (DiscreteDistribution, make_distribution, norm,
-                          rademacher, uniform)
+from .value_space import DiscreteDistribution, norm, rademacher, uniform
 from .kernel import (KernelFamily, check_symmetry, distinct_tuples,
                      mazur_orlicz_coefficient, symmetrize)
 from .ustat_engine import (StatisticSpec, mixed_sum, not_all_equal_sum,
@@ -14,7 +13,7 @@ from .verifier import (ConstantSearchResult, CorpusConfig, InequalityReport,
                        verify_moment_comparison, verify_prop1)
 
 __all__ = [
-    "DiscreteDistribution", "make_distribution", "norm", "rademacher", "uniform",
+    "DiscreteDistribution", "norm", "rademacher", "uniform",
     "KernelFamily", "check_symmetry", "distinct_tuples",
     "mazur_orlicz_coefficient", "symmetrize", "mixed_sum", "not_all_equal_sum",
     "pattern_sum", "symmetrized_decoupled_sum", "DiscreteLaw", "StatisticSpec",

@@ -207,8 +207,7 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(f"seed must be >= 0, got {args.seed}")
     dist = named_distribution(args.dist)
     kf = build_kernel(args.kernel, args.n, args.k, seed=args.seed or 0)
-    spec = StatisticSpec(kf, args.mode, pattern=tuple(range(args.k)), l=args.l,
-                         norm_kind=args.norm)
+    spec = StatisticSpec(kf, args.mode, pattern=tuple(range(args.k)), l=args.l)
     law = exact_law(spec, dist, args.budget)
     payload = {"values": law.values.tolist(), "probs": law.probs.tolist()}
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", default="coupled", choices=MODES)
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--norm", default="euclidean")
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--out")

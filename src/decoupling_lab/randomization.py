@@ -154,4 +154,5 @@ def pattern_invariance_spread(expectations, mixed, norm_kind: str = "euclidean")
     two-copy mixed sum `mixed`, their common value by the identity; should be ~0.
     """
     target = np.asarray(mixed, dtype=float) / len(expectations)
-    return max(norm(ce - target, norm_kind) for ce in np.asarray(expectations, dtype=float))
+    return float(np.max([norm(ce - target, norm_kind)
+                         for ce in np.asarray(expectations, dtype=float)]))

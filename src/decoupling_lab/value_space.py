@@ -81,13 +81,6 @@ class DiscreteDistribution:
         return np.asarray(self.probs, dtype=float)
 
 
-def make_distribution(atoms) -> DiscreteDistribution:
-    """Build a validated distribution from (value, prob) pairs."""
-    vals = tuple(a for a, _ in atoms)
-    probs = tuple(float(p) for _, p in atoms)
-    return DiscreteDistribution(vals, probs)
-
-
 def rademacher() -> DiscreteDistribution:
     return DiscreteDistribution((-1.0, 1.0), (0.5, 0.5))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import decoupling_lab
-from decoupling_lab import cli, prob_engine, randomization, verifier
+from decoupling_lab import cli, prob_engine, randomization, ustat_engine, verifier
 from decoupling_lab.cli import main, parse_config, run
 from decoupling_lab.errors import ValidationError
 from decoupling_lab.prob_engine import exact_law
@@ -98,6 +98,36 @@ def test_identity_residual_forces_failure(monkeypatch):
     report, code = run(cfg)
     assert code == 1
     assert report["summary"]["failed"] > 0
+
+
+def _nan_in_batch(part, index):
+    """Plant a NaN at `index` of the residuals (part 0) or the means (part 1)
+    that `expansion_residual_batch` returns."""
+    def plant(batch):
+        def planted(*args):
+            out = [a.copy() for a in batch(*args)]
+            out[part][index] = np.nan
+            return tuple(out)
+        return planted
+    return plant
+
+
+@pytest.mark.parametrize("module, name, plant", [
+    (randomization, "selector_conditional_expectation", lambda f: lambda *a: f(*a) * np.nan),
+    (ustat_engine, "not_all_equal_sum", lambda f: lambda *a: f(*a) * np.nan),
+    (randomization, "expansion_residual_batch", _nan_in_batch(1, 1)),
+    (randomization, "expansion_residual_batch", _nan_in_batch(0, (-1, -1))),
+], ids=["selector", "partition", "sign_means_row1", "residual_entry"])
+def test_identity_nan_residual_fails_the_instance(monkeypatch, module, name, plant):
+    """A NaN in any residual source fails `identities` with a NaN max_residual."""
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    cfg = verifier.CorpusConfig(seed=2, distributions=("rademacher",),
+                                kernel_classes=("product",), nk_pairs=((3, 2),),
+                                checks=("identities",))
+    [result] = verifier.run_corpus(cfg)["results"]
+    assert result["instance_id"] == "rademacher:product:n3k2"
+    assert not result["passed"]
+    assert np.isnan(result["detail"]["max_residual"])
 
 
 def test_cli_verify_subcommand(tmp_path, capsys):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from decoupling_lab.errors import ValidationError
-from decoupling_lab.value_space import (DiscreteDistribution, make_distribution,
-                                        norm, rademacher, uniform)
+from decoupling_lab.value_space import DiscreteDistribution, norm, rademacher, uniform
 
 
 def test_norm_examples():
@@ -48,13 +47,15 @@ def test_uniform_definition():
     assert sum(d.atoms) == 0.0
 
 
-def test_make_distribution_validation():
-    with pytest.raises(ValidationError):
-        make_distribution([(1.0, 0.7)])
-    with pytest.raises(ValidationError):
-        make_distribution([(1.0, 0.5), (1.0, 0.5)])
-    with pytest.raises(ValidationError):
-        make_distribution([(1.0, 1.5), (2.0, -0.5)])
-    with pytest.raises(ValidationError):
+def test_discrete_distribution_validation():
+    with pytest.raises(ValidationError, match="sum to"):
+        DiscreteDistribution((1.0,), (0.7,))
+    with pytest.raises(ValidationError, match="duplicate atoms"):
+        DiscreteDistribution((1.0, 1.0), (0.5, 0.5))
+    with pytest.raises(ValidationError, match="outside"):
+        DiscreteDistribution((1.0, 2.0), (1.5, -0.5))
+    with pytest.raises(ValidationError, match="at least one atom"):
         DiscreteDistribution((), ())
+    with pytest.raises(ValidationError, match="length mismatch"):
+        DiscreteDistribution((1.0, 2.0), (1.0,))
 
