@@ -7,7 +7,7 @@ Either way the law covers every sample-matrix realization exactly.  Monte
 Carlo tails and support counts draw from a PCG64 generator keyed by the seed,
 so identical (seed, spec) inputs give bit-identical output regardless of
 scheduling.
-kappa is exact in every dimension, a minimum over finitely many directions.
+kappa is the closed form (E|Y|)^2 / E(Y^2) of a mean-zero 1-D law.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm
 _VALUE_DECIMALS = 12  # aggregation resolution for norm values
 MIN_TRIALS = 100  # fewest Monte Carlo trials mc_tail accepts
 KAPPA_MEAN_TOL = 1e-9  # |E Y| above this is not mean zero
-KAPPA_MAX_SUBSETS = 2 ** 16  # atom subsets kappa may take null vectors of
 _CHUNK = 2 ** 13  # values per aggregation block, trials per Monte Carlo chunk
 _EDGE_ATOMS = 256  # a one-byte atom index; per chunk, edge passes tie bisection near here
 
@@ -202,8 +201,8 @@ def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
 
 def _mc_norms(spec: StatisticSpec, dist: DiscreteDistribution, trials: int, seed: int):
     """Norms of `trials` sampled statistics, _CHUNK at a time, from one PCG64 stream
-    that the corpus stream default_rng(seed) never replays, since its seed sequence
-    has a spawn key.  The chunks refill one set of sample_matrices buffers."""
+    that no check's corpus stream replays, since its seed sequence has a spawn
+    key.  The chunks refill one set of sample_matrices buffers."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
     shape = (min(_CHUNK, trials), spec.kernel.n, spec.copies_needed)
     out = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8),
@@ -242,34 +241,14 @@ def _mc_counts(spec: StatisticSpec, dist: DiscreteDistribution, law: DiscreteLaw
 
 
 def kappa(values, probs) -> float:
-    """Anticoncentration functional: inf over functionals x' of
-    (E|x'(Y)|)^2 / E(x'(Y))^2, exactly, for mean-zero Y of any dimension.
-
-    The ratio ignores the scale of x'.  On each cone of the arrangement
-    {x : x . y_i = 0} of the atoms, E|x'Y| is linear and sqrt(E(x'Y)^2) is a
-    norm, so the ratio is quasi-concave there and its infimum sits on an
-    extreme ray: a direction normal to r - 1 independent atoms, r the rank of
-    the atoms.  The atoms are written in a basis of their span and every
-    (r-1)-subset contributes its null vector; a dependent subset contributes
-    some other direction, which cannot undercut the infimum.
-    """
+    """Anticoncentration functional (E|Y|)^2 / E(Y^2) of a mean-zero 1-D law."""
     v, p = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
-    if v.ndim not in (1, 2):
-        raise ValidationError("values must be (m,) or (m, dim)")
-    v = v.reshape(len(v), -1)
-    mean = p @ v
-    if float(np.max(np.abs(mean))) > KAPPA_MEAN_TOL:
-        raise ValidationError(f"Y must be mean zero (mean={mean.tolist()})")
-    _, s, basis = np.linalg.svd(v, full_matrices=False)
-    r = int(np.count_nonzero(s > s[0] * max(v.shape) * np.finfo(float).eps))
-    if r == 0:
+    if v.ndim != 1:
+        raise ValidationError(f"values must be 1-D atoms (m,), got shape {v.shape}")
+    mean = float(np.dot(p, v))
+    if abs(mean) > KAPPA_MEAN_TOL:
+        raise ValidationError(f"Y must be mean zero (mean={mean})")
+    first = float(np.dot(p, np.abs(v)))
+    if first == 0.0:
         raise ValidationError("Y is almost surely 0")
-    if math.comb(len(v), r - 1) > KAPPA_MAX_SUBSETS:
-        raise BudgetExceededError(f"C({len(v)}, {r - 1}) atom subsets exceed "
-                                  f"{KAPPA_MAX_SUBSETS}")
-    w = v @ basis[:r].T
-    subsets = np.array(list(itertools.combinations(range(len(w)), r - 1)), dtype=int)
-    proj = w @ np.linalg.svd(w[subsets])[2][:, -1].T  # (m, directions)
-    first = p @ np.abs(proj)
-    return float(np.min(first * first / (p @ (proj * proj))))
-
+    return first * first / float(np.dot(p, v * v))

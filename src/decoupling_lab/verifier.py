@@ -37,13 +37,13 @@ from .value_space import (DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm,
                           rademacher, uniform)
 
 IDENTITY_TOL = 1e-12
-# Larger constants count as infeasible: without a ceiling almost every theorem1
-# and lemma3 instance would pass, since a finite constant nearly always exists.
+# Larger constants count as infeasible: without a ceiling almost every lemma3
+# instance would pass, since a finite constant nearly always exists.
 C_CEILING = float(2 ** 20)
 DISTRIBUTIONAL_BUDGET = 2 ** 20  # joint assignments one distributional check may list
 MC_ALPHA = 1e-9  # chance that mc_consistency fails a correct build, per campaign
 _UNFINISHED = (BudgetExceededError, InvariantError)  # a check yields these as a Skip
-NOT_RUN_BUDGET = "every instance exceeds the enumeration budget"
+NOT_RUN_BUDGET = "every instance exceeds a budget or size cap"
 NOT_RUN_CONFIG = "no instance of the configured corpus applies"
 
 
@@ -136,6 +136,16 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchRe
                                 binding, row)
 
 
+def theorem1_constant(k: int) -> float:
+    """Theorem 1's C_k.  The abstract of arXiv math/9309211: "for all n >= k >= 2,
+    t > 0, there are numerical constants C_k depending on k only so that
+    P(||sum f(X^(1)_i1, ..., X^(1)_ik)|| >= t) <= C_k P(C_k ||sum f(X^(1)_i1, ...,
+    X^(k)_ik)|| >= t)", with C_k = 2^k (k^k - 1)((k-1)^(k-1) - 1) ... 3: 12, 624 and
+    318,240 at k = 2, 3 and 4.  At k = 1 the coupled and decoupled statistics
+    coincide, so C_1 = 1.  From k = 5 on, the search's C_CEILING binds first."""
+    return 1.0 if k == 1 else float(2 ** k * math.prod(j ** j - 1 for j in range(2, k + 1)))
+
+
 def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str,
                     l: int | None = None, norm_kind: str = "euclidean",
                     law_of=None) -> ConstantSearchResult:
@@ -213,16 +223,9 @@ def sign_chaos_values(coeffs: dict, n: int, x0=0.0) -> np.ndarray:
     values are scalars or vectors.
     """
     signs = all_sign_vectors(n).astype(float)
-    total = None
-    for t, a in coeffs.items():
-        prod = signs[:, list(t)].prod(axis=1) if len(t) else np.ones(signs.shape[0])
-        a = np.asarray(a, dtype=float)
-        term = prod * a if a.ndim == 0 else prod[:, None] * a
-        total = term if total is None else total + term
-    if total is None:
-        total = np.zeros(signs.shape[0])
-    x0 = np.asarray(x0, dtype=float)
-    return total + (float(x0) if x0.ndim == 0 else x0)
+    terms = [np.multiply.outer(signs[:, list(t)].prod(axis=1), np.asarray(a, dtype=float))
+             for t, a in coeffs.items()] or [np.zeros(len(signs))]
+    return functools.reduce(np.add, terms) + np.asarray(x0, dtype=float)
 
 
 def verify_lemma2(coeffs: dict, x, n: int, norm_kind: str = "euclidean",
@@ -373,7 +376,7 @@ def random_chaos_coefficients(rng, n: int, k: int) -> dict:
         for t in distinct_tuples(n, r):
             if rng.random() < 0.5:
                 continue
-            c = float(rng.integers(-3, 4, size=1)[0])
+            c = float(rng.integers(-3, 4))
             if c != 0:
                 coeffs[t] = c
     if not coeffs:
@@ -382,8 +385,14 @@ def random_chaos_coefficients(rng, n: int, k: int) -> dict:
 
 
 # Each check is a generator of Outcomes and Skips.  run_corpus passes each the
-# keywords cfg, rng, instances and law_of, and runs the checks in
-# ALL_CHECKS order, so they draw from the shared rng in that order.
+# keywords cfg, instances and law_of, which every check shares, and rng, the
+# check's own check_rng stream: what a check draws depends on the seed and that
+# check alone, never on which checks run before it.
+
+def check_rng(seed: int, check: str) -> np.random.Generator:
+    """The stream a check draws its corpus from, keyed by the seed and the check's name."""
+    return np.random.default_rng([seed, *check.encode()])
+
 
 @dataclass(frozen=True)
 class Outcome:
@@ -409,6 +418,7 @@ def _identities(cfg, rng, instances, **_):
     for inst, dist, kf in instances:
         n, k = kf.n, kf.k
         if n > 6:
+            yield Skip(inst, BudgetExceededError(f"n={n} exceeds the identities cap n <= 6"))
             continue
         copies = max(k, max(cfg.ls, default=1), 2)
         s = sample_matrices(dist, n, copies, 1, rng)[0]
@@ -435,11 +445,12 @@ def _identities(cfg, rng, instances, **_):
 def _mazur_orlicz(cfg, rng, instances, **_):
     yield Outcome("coefficient:k<=6", mazur_orlicz_exhaustive(6))
     for inst, dist, kf in instances:
-        if not kf.symmetric_claimed or kf.k > 4:
-            continue
-        s = sample_matrices(dist, kf.n, kf.k, 1, rng)[0]
-        res = symmetrized_expansion_residual(kf, s, cfg.norm_kind)
-        yield Outcome(inst, res <= IDENTITY_TOL, {"residual": res}, kf.n, kf.k)
+        if kf.symmetric_claimed and kf.k > 4:
+            yield Skip(inst, BudgetExceededError(f"k={kf.k} exceeds the mazur_orlicz cap k <= 4"))
+        elif kf.symmetric_claimed:
+            s = sample_matrices(dist, kf.n, kf.k, 1, rng)[0]
+            res = symmetrized_expansion_residual(kf, s, cfg.norm_kind)
+            yield Outcome(inst, res <= IDENTITY_TOL, {"residual": res}, kf.n, kf.k)
 
 
 def _distributional(cfg, **_):
@@ -474,9 +485,13 @@ def _prop1(cfg, rng, **_):
             yield Outcome(f"law{i}:a{a}", rep.passed, rows=rep.rows)
 
 
+_CHAOS_CAP = "n={n}, k={k} exceeds the sign-chaos cap n <= 12, k <= 3"
+
+
 def _lemma2(cfg, rng, **_):
     for n, k in cfg.nk_pairs:
         if k > 3 or n > 12:
+            yield Skip(f"n{n}k{k}", BudgetExceededError(_CHAOS_CAP.format(n=n, k=k)))
             continue
         for i in range(5):
             coeffs = random_chaos_coefficients(rng, n, k)
@@ -487,6 +502,7 @@ def _lemma2(cfg, rng, **_):
 def _moments(cfg, rng, **_):
     for n, k in cfg.nk_pairs:
         if k > 3 or n > 12:
+            yield Skip(f"rademacher:n{n}k{k}", BudgetExceededError(_CHAOS_CAP.format(n=n, k=k)))
             continue
         for i in range(3):
             coeffs = random_chaos_coefficients(rng, n, k)
@@ -507,7 +523,9 @@ def _moments(cfg, rng, **_):
 
 
 def _search(direction, cfg, instances, law_of, **_):
-    """Closed-form constants of one direction: one search_constant call per result."""
+    """Closed-form constants of one direction: one search_constant call per result,
+    which passes if c_min is feasible and at most theorem1_constant (C_CEILING
+    for lemma3, whose constant the paper does not state)."""
     for inst, dist, kf in instances:
         if direction != "upper" and not kf.symmetric_claimed:
             continue
@@ -521,8 +539,9 @@ def _search(direction, cfg, instances, law_of, **_):
             detail = ({"c_min": res.c_min, "max_slack": res.max_slack} if l is None
                       else {"c_min": res.c_min, "c_min_scaled": res.c_min_scaled})
             rows = () if res.row is None else (res.row,)  # the row where c_min binds
-            yield Outcome(iid, res.feasible, {**detail, "binding": res.binding},
-                          kf.n, kf.k, l, rows, res.c_min)
+            bound = C_CEILING if l else theorem1_constant(kf.k)
+            yield Outcome(iid, res.feasible and res.c_min <= bound,
+                          {**detail, "binding": res.binding}, kf.n, kf.k, l, rows, res.c_min)
 
 
 def _kl_threshold(m: int, level: float) -> float:
@@ -682,15 +701,14 @@ def run_corpus(cfg: CorpusConfig) -> dict:
     """
     # each exact law once per (instance, statistic)
     law_of = functools.cache(functools.partial(exact_law, budget=cfg.enum_budget))
-    context = {"cfg": cfg, "rng": np.random.default_rng(cfg.seed),
-               "instances": list(_instances(cfg)),  # built once, shared by every check
+    context = {"cfg": cfg, "instances": list(_instances(cfg)),  # built once, shared
                "law_of": law_of}
     results, table, skipped, checks = [], [], [], {}
     for check, generate in _CHECKS.items():
         if check not in cfg.checks:
             continue
         start, laws = time.perf_counter(), law_of.cache_info().currsize
-        for out in generate(**context):
+        for out in generate(**context, rng=check_rng(cfg.seed, check)):
             if isinstance(out, Skip):
                 if isinstance(out.error, BudgetExceededError):
                     skipped.append({"check": check, "instance_id": out.instance,

@@ -272,10 +272,10 @@ def test_cli_identities_subcommand(tmp_path):
 
 
 def test_cli_import_skips_scipy_stats():
-    # nor does an exact kappa in dimension 2 load it
+    # importing the CLI does not load scipy.stats, and neither does a kappa call
     src = str(Path(decoupling_lab.__file__).resolve().parents[1])
     code = ("import sys, decoupling_lab.cli; from decoupling_lab import kappa; "
-            "kappa([[1, 1], [1, -1], [-1, 1], [-1, -1]], [0.25] * 4); "
+            "kappa([-1, 0, 1], [0.25, 0.5, 0.25]); "
             "print('scipy.stats' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
@@ -297,30 +297,51 @@ def test_verify_with_mc_consistency_never_imports_scipy(tmp_path):
         assert out.stdout.splitlines()[-1] == "0 False False", argv
 
 
+# theorem1_lower is not defined on an asymmetric kernel, so this corpus empties it
+ASYMMETRIC_ONLY = {"corpus": {"kernel_classes": ["coeff"]}}
+
+
 def test_cli_check_emptied_by_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"corpus": {"nk_pairs": [[7, 2]]},
-                                    "checks": ["identities"]}))
+    cfg_path.write_text(json.dumps({**ASYMMETRIC_ONLY, "checks": ["theorem1_lower"]}))
     out = tmp_path / "r.json"
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "0/0 checks passed" in captured.out
-    assert "not run: identities" in captured.err
+    assert "not run: theorem1_lower" in captured.err
     summary = json.loads(out.read_text())["summary"]
-    assert summary["not_run"] == {"identities": verifier.NOT_RUN_CONFIG}
+    assert summary["not_run"] == {"theorem1_lower": verifier.NOT_RUN_CONFIG}
+    assert "skipped" not in summary
+
+
+def test_cli_check_emptied_by_its_size_cap_exits_3(tmp_path, capsys):
+    # every n = 7 instance is past the identities cap: each is a skip, not silence
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"corpus": {"nk_pairs": [[7, 2]]},
+                                    "checks": ["identities"]}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "0/0 checks passed, 8 instances skipped over budget" in captured.out
+    assert ("skipped: identities rademacher:product:n7k2: "
+            "n=7 exceeds the identities cap n <= 6") in captured.err
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["not_run"] == {"identities": verifier.NOT_RUN_BUDGET}
+    assert len(summary["skipped"]) == 8
 
 
 def test_meta_times_every_requested_check():
     # a check that yields nothing still gets its timing entry, and not_run is
     # read from the results, not from meta
-    cfg, _ = parse_config(json.dumps({"corpus": {"nk_pairs": [[7, 2]]},
-                                      "checks": ["identities", "lemma1"]}))
+    cfg, _ = parse_config(json.dumps({**ASYMMETRIC_ONLY,
+                                      "checks": ["theorem1_lower", "lemma1"]}))
     report, code = run(cfg)
     assert code == 2
     checks = report["meta"]["checks"]
-    assert set(checks) == {"identities", "lemma1"}
-    assert checks["identities"]["exact_laws"] == 0 and checks["identities"]["wall_s"] >= 0
-    assert report["summary"]["not_run"] == {"identities": verifier.NOT_RUN_CONFIG}
+    assert set(checks) == {"theorem1_lower", "lemma1"}
+    assert checks["theorem1_lower"]["exact_laws"] == 0
+    assert checks["theorem1_lower"]["wall_s"] >= 0
+    assert report["summary"]["not_run"] == {"theorem1_lower": verifier.NOT_RUN_CONFIG}
 
 
 @pytest.mark.parametrize("corpus, field", [

@@ -6,7 +6,7 @@ and aggregated them with one sort and one bincount; mc_tail drew every trial
 from one call of its PCG64 generator and counted hits with count_nonzero.  Laws
 aggregated block by block and tails counted chunk by chunk, on sample buffers
 reused from chunk to chunk, must equal them bit for bit, in memory bounded by
-the chunk; the Monte Carlo stream never replays the corpus stream.  The support
+the chunk; the Monte Carlo stream never replays a check's corpus stream.  The support
 counts mc_consistency gates must equal the hits of the same one-shot draws at
 every support point, and the counts of the rule they replaced, which looked each
 norm up twice (left and right) and took it as on the support when the two
@@ -29,6 +29,7 @@ from decoupling_lab.prob_engine import (_VALUE_DECIMALS, DiscreteLaw, StatisticS
                                         _mc_norms, aggregate_law, evaluate_norms, exact_law,
                                         mc_tail, sample_matrices)
 from decoupling_lab.value_space import DiscreteDistribution, batch_norm, rademacher, uniform
+from decoupling_lab.verifier import ALL_CHECKS, check_rng
 
 CHUNK = prob_engine._CHUNK
 
@@ -134,11 +135,13 @@ def test_chunked_mc_tail_matches_one_shot(trials, kf):
 
 @pytest.mark.parametrize("seed", [0, 1, 11])
 def test_mc_stream_never_replays_the_corpus_stream(seed):
+    # no check's corpus stream is the one mc_consistency samples a law from
     spec = StatisticSpec(random_coefficient_kernel(2, 4, seed=2), "pattern", pattern=(0, 1))
     first = next(_mc_norms(spec, uniform(3), 100, seed))
-    corpus = evaluate_norms(spec, sample_matrices(uniform(3), 4, 2, 100,
-                                                  np.random.default_rng(seed)))
-    assert not np.array_equal(first, corpus)
+    for check in ALL_CHECKS:
+        corpus = evaluate_norms(spec, sample_matrices(uniform(3), 4, 2, 100,
+                                                      check_rng(seed, check)))
+        assert not np.array_equal(first, corpus), check
 
 
 _WIDE = DiscreteDistribution(tuple(float(i) for i in range(300)), (1 / 300,) * 300)

@@ -15,9 +15,9 @@ from decoupling_lab.prob_engine import (DiscreteLaw, StatisticSpec, aggregate_la
 from decoupling_lab.randomization import all_choice_vectors
 from decoupling_lab.value_space import (NORM_KINDS, DiscreteDistribution, batch_norm,
                                         rademacher, uniform)
-from decoupling_lab.verifier import (CorpusConfig, mazur_orlicz_exhaustive,
+from decoupling_lab.verifier import (ALL_CHECKS, CorpusConfig, mazur_orlicz_exhaustive,
                                      minimal_constant, random_law, run_corpus,
-                                     search_constant,
+                                     search_constant, theorem1_constant,
                                      symmetrized_expansion_residual,
                                      tails_dominated, verify_lemma1,
                                      verify_lemma2, verify_moment_comparison,
@@ -340,6 +340,79 @@ def test_run_corpus_table_rows_carry_their_results_n_k_l():
     for row in rep["table"]:
         assert (row["n"], row["k"], row["l"]) == where[row["check"], row["instance_id"]]
     assert any(row["check"] == "moments" and row["l"] == 2 for row in rep["table"])
+
+
+def test_each_check_alone_gives_its_rows_in_the_full_campaign():
+    # every check draws from a stream keyed by the seed and its own name, so
+    # which other checks run changes none of its results or table rows
+    cfg = CorpusConfig(seed=1, distributions=("rademacher",),
+                       kernel_classes=("product", "sym-coeff", "coeff"),
+                       nk_pairs=((3, 2), (4, 3)), ls=(1, 2), law_count=3, mc_trials=500)
+    full = run_corpus(cfg)
+    assert {r["check"] for r in full["results"]} == set(ALL_CHECKS)
+    for check in ALL_CHECKS:
+        alone = run_corpus(CorpusConfig(**{**vars(cfg), "checks": (check,)}))
+        for section in ("results", "table"):
+            assert alone[section] == [r for r in full[section] if r["check"] == check], \
+                (check, section)
+
+
+CAPPED = CorpusConfig(distributions=("rademacher",), kernel_classes=("product",),
+                      nk_pairs=((4, 2), (7, 2), (5, 5), (13, 2)),
+                      checks=("identities", "mazur_orlicz", "lemma2", "moments"))
+
+
+def test_instances_past_a_check_cap_are_recorded_as_skips():
+    rep = run_corpus(CAPPED)
+    ran = {(r["check"], r["instance_id"]) for r in rep["results"]}
+    assert {i for c, i in ran if c == "identities"} == {"rademacher:product:n4k2",
+                                                       "rademacher:product:n5k5"}
+    skipped = {(s["check"], s["instance_id"]): s["reason"] for s in rep["summary"]["skipped"]}
+    assert skipped == {
+        ("identities", "rademacher:product:n7k2"): "n=7 exceeds the identities cap n <= 6",
+        ("identities", "rademacher:product:n13k2"): "n=13 exceeds the identities cap n <= 6",
+        ("mazur_orlicz", "rademacher:product:n5k5"): "k=5 exceeds the mazur_orlicz cap k <= 4",
+        **{(check, f"{prefix}n{n}k{k}"): f"n={n}, k={k} exceeds the sign-chaos cap n <= 12, k <= 3"
+           for check, prefix in (("lemma2", ""), ("moments", "rademacher:"))
+           for n, k in ((5, 5), (13, 2))}}
+    assert not ran & set(skipped)
+    assert rep["summary"]["failed"] == 0 and "not_run" not in rep["summary"]
+
+
+def test_theorem1_constant_is_the_papers_c_k():
+    assert [theorem1_constant(k) for k in (1, 2, 3, 4)] == [1.0, 12.0, 624.0, 318240.0]
+    assert theorem1_constant(5) > verifier.C_CEILING  # the ceiling binds first from k = 5
+
+
+def _one_point_law_of(coupled: float, decoupled: float):
+    def law_of(spec, dist):  # c_min = coupled / decoupled, binding at the top
+        return _law({coupled if spec.mode == "coupled" else decoupled: 1.0})
+    return law_of
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("c_min, passed", [(12.0 - 1e-6, True), (12.0, True),
+                                           (12.0 + 1e-6, False)])
+def test_theorem1_passes_only_at_most_c_k(direction, c_min, passed):
+    kf = product_kernel(2, 3)  # k = 2: C_2 = 12
+    left, right = (c_min, 1.0) if direction == "upper" else (1.0, c_min)
+    out, = verifier._search(direction, CorpusConfig(), [("pair", rademacher(), kf)],
+                            _one_point_law_of(left, right))
+    assert out.detail["c_min"] == pytest.approx(c_min, rel=1e-12)
+    assert out.passed is passed
+
+
+def test_theorem1_upper_fails_a_decoupled_law_scaled_by_1_16(monkeypatch):
+    def shrunk_decoupled(spec, dist, budget):
+        law = exact_law(spec, dist, budget)
+        return DiscreteLaw(law.values / 16, law.probs) if spec.mode == "pattern" else law
+    monkeypatch.setattr(verifier, "exact_law", shrunk_decoupled)
+    rep = run_corpus(CorpusConfig(seed=1, checks=("theorem1_upper",)))
+    failed = {r["k"] for r in rep["results"] if not r["passed"]}
+    # at k = 3 the shrunk law needs c_min up to 32, far under C_3 = 624, so the
+    # gate leaves this fault unseen there; at k = 2 it needs up to 21.3 > C_2 = 12
+    assert failed == {2}
+    assert rep["summary"]["empirical_constants"]["upper:k=2"] > 12.0
 
 
 @pytest.mark.parametrize("budget", [16, 64])
