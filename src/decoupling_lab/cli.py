@@ -196,7 +196,8 @@ def _cmd_campaign(args) -> int:
         print(f"[{status}] {r['check']:>16} {r['instance_id']}")
     skipped = len(summary.get("skipped", []))
     print(f"{summary['passed']}/{summary['total']} checks passed"
-          + (f", {skipped} instance{'s' * (skipped > 1)} skipped over budget" if skipped else ""))
+          + (f", {skipped} instance{'s' * (skipped > 1)} skipped over a budget or size cap"
+             if skipped else ""))
     return code
 
 

@@ -286,12 +286,15 @@ def verify_moment_comparison(coeffs, n: int, degree: int,
 
 
 def mazur_orlicz_exhaustive(k_max: int = 6) -> bool:
-    """Coefficient equals the permutation indicator for every tuple, k <= k_max."""
+    """Coefficient equals the permutation indicator for every tuple, k <= k_max,
+    listed k^(k-1) tuples at a time: one block per first entry."""
     for k in range(1, k_max + 1):
-        j = all_choice_vectors(k, k)  # all k^k tuples
-        expected = np.all(np.sort(j, axis=1) == np.arange(k), axis=1)
-        if not np.array_equal(mazur_orlicz_coefficient(j), expected):
-            return False
+        rest = all_choice_vectors(k - 1, k)  # every choice of the other k - 1 entries
+        for first in range(k):
+            j = np.insert(rest, 0, first, axis=1)
+            expected = np.all(np.sort(j, axis=1) == np.arange(k), axis=1)
+            if not np.array_equal(mazur_orlicz_coefficient(j), expected):
+                return False
     return True
 
 

@@ -233,7 +233,8 @@ def test_cli_lists_distributional_skip_over_its_budget(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1] == "3/3 checks passed, 1 instance skipped over budget"
+    assert (captured.out.splitlines()[-1]
+            == "3/3 checks passed, 1 instance skipped over a budget or size cap")
     summary = json.loads(out.read_text())["summary"]
     assert summary["skipped"] == [{
         "check": "distributional", "instance_id": "uniform4:selector:n3l3",
@@ -322,7 +323,7 @@ def test_cli_check_emptied_by_its_size_cap_exits_3(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 3
     captured = capsys.readouterr()
-    assert "0/0 checks passed, 8 instances skipped over budget" in captured.out
+    assert "0/0 checks passed, 8 instances skipped over a budget or size cap" in captured.out
     assert ("skipped: identities rademacher:product:n7k2: "
             "n=7 exceeds the identities cap n <= 6") in captured.err
     summary = json.loads(out.read_text())["summary"]
@@ -444,7 +445,7 @@ def test_cli_lists_instances_skipped_over_budget(tmp_path, capsys):
     assert main(["verify", "--budget", "16", "--checks", "lemma3",
                  "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "9/9 checks passed, 33 instances skipped over budget" in captured.out
+    assert "9/9 checks passed, 33 instances skipped over a budget or size cap" in captured.out
     assert captured.err.count("skipped: lemma3 ") == 33
     summary = json.loads(out.read_text())["summary"]
     assert summary["total"] == 9 and "not_run" not in summary

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -110,15 +112,43 @@ def test_kappa_refuses_vector_atoms():
             kappa(vals, np.full(2, 0.5))
 
 
-def test_kappa_1d_bit_identical_to_moment_ratio():
-    from decoupling_lab.verifier import random_mean_zero_law
+def exact_kappa(values, probs) -> Fraction:
+    """(E|Y|)^2 / E(Y^2) in exact rational arithmetic."""
+    first = sum(p * abs(v) for v, p in zip(values, probs))
+    return first * first / sum(p * v * v for v, p in zip(values, probs))
 
+
+def random_integer_law(rng):
+    """A mean-zero law on integer atoms, as exact fractions: random positive and
+    negative atoms and weights, each side rescaled by the other's first moment, and
+    sometimes an atom at 0; the two sides differ in atoms and count."""
+    up = [int(a) for a in rng.choice(np.arange(1, 10), size=rng.integers(1, 4), replace=False)]
+    down = [-int(b) for b in rng.choice(np.arange(1, 10), size=rng.integers(1, 4),
+                                        replace=False)]
+    w_up, w_down = rng.integers(1, 10, len(up)), rng.integers(1, 10, len(down))
+    pull_up = sum(int(w) * a for w, a in zip(w_up, up))
+    pull_down = -sum(int(w) * b for w, b in zip(w_down, down))
+    masses = [int(w) * pull_down for w in w_up] + [int(w) * pull_up for w in w_down]
+    values = up + down
+    if rng.random() < 0.5:
+        values, masses = values + [0], masses + [int(rng.integers(1, 100))]
+    total = sum(masses)
+    return values, [Fraction(mass, total) for mass in masses]
+
+
+def test_kappa_matches_exact_rational_arithmetic():
+    assert exact_kappa([8, -1], [Fraction(1, 9), Fraction(8, 9)]) == Fraction(32, 81)
+    assert kappa(np.array([8.0, -1.0]), np.array([1 / 9, 8 / 9])) == pytest.approx(
+        32 / 81, rel=1e-15, abs=0)
     rng = np.random.default_rng(5)
+    asymmetric = 0
     for _ in range(400):
-        law = random_mean_zero_law(rng)
-        v, p = law.values_array(), law.probs_array()
-        first = float(np.dot(p, np.abs(v)))
-        assert kappa(v, p) == first * first / float(np.dot(p, v * v))
+        values, probs = random_integer_law(rng)
+        assert sum(p * v for v, p in zip(values, probs)) == 0
+        asymmetric += sorted(values) != sorted(-v for v in values)
+        got = kappa(np.array(values, dtype=float), np.array([float(p) for p in probs]))
+        assert got == pytest.approx(float(exact_kappa(values, probs)), rel=1e-15, abs=0)
+    assert asymmetric > 300
 
 
 def test_kappa_at_most_one():

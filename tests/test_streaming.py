@@ -4,13 +4,13 @@ The references below are the one-shot bodies the streamed code replaced,
 kept here: exact_law built every realization's norm and probability at once
 and aggregated them with one sort and one bincount; mc_tail drew every trial
 from one call of its PCG64 generator and counted hits with count_nonzero.  Laws
-aggregated block by block and tails counted chunk by chunk, on sample buffers
-reused from chunk to chunk, must equal them bit for bit, in memory bounded by
-the chunk; the Monte Carlo stream never replays a check's corpus stream.  The support
-counts mc_consistency gates must equal the hits of the same one-shot draws at
-every support point, and the counts of the rule they replaced, which looked each
-norm up twice (left and right) and took it as on the support when the two
-lookups differed.
+contracted and aggregated block by block and tails counted chunk by chunk, on
+sample buffers reused from chunk to chunk, must equal them bit for bit, in
+memory bounded by the block or chunk; the Monte Carlo stream never replays a
+check's corpus stream.  The support counts mc_consistency gates must equal the
+hits of the same one-shot draws at every support point, and the counts of the
+rule they replaced, which looked each norm up twice (left and right) and took
+it as on the support when the two lookups differed.
 """
 
 import functools
@@ -29,7 +29,7 @@ from decoupling_lab.prob_engine import (_VALUE_DECIMALS, DiscreteLaw, StatisticS
                                         _mc_norms, aggregate_law, evaluate_norms, exact_law,
                                         mc_tail, sample_matrices)
 from decoupling_lab.value_space import DiscreteDistribution, batch_norm, rademacher, uniform
-from decoupling_lab.verifier import ALL_CHECKS, check_rng
+from decoupling_lab.verifier import ALL_CHECKS, build_kernel, check_rng
 
 CHUNK = prob_engine._CHUNK
 
@@ -54,7 +54,7 @@ def one_shot_exact_law(spec, dist) -> DiscreteLaw:
         feats, contracted, copies = counts @ feats, [(0,) * k], 1
     idx = np.indices((probs.size,) * n).reshape(n, -1).T
     grid, grid_probs = feats[idx].reshape(len(idx), -1), probs[idx].prod(axis=1)
-    values = sum(_grid_contract(tensor, grid, p, copies) for p in contracted)
+    values = sum(_grid_contract(tensor, [grid] * copies, p) for p in contracted)
     values = values + len(patterns) * math.perm(n, k) * np.asarray(const)
     dims = values.shape[copies:]
     values = np.broadcast_to(values, (len(grid),) * copies + dims).reshape((-1,) + dims)
@@ -273,8 +273,70 @@ def test_mc_tail_memory_is_bounded_by_the_chunk():
     assert large <= 1.5 * small
 
 
-def test_exact_law_holds_one_float_per_realization():
-    # 4^10 = 2^20 realizations: the contraction output is 8 MiB
+BLOCK_BYTES = 8 * prob_engine._BLOCK  # the widest float array one contraction block builds
+
+
+def test_exact_law_memory_is_bounded_by_the_block():
+    # 4^10 = 2^20 realizations: 8 MiB of output floats, held a block at a time
     spec = StatisticSpec(random_coefficient_kernel(2, 5, seed=0, symmetric=True),
                          "pattern", pattern=(0, 1))
-    assert _peak_bytes(lambda: exact_law(spec, uniform(4))) <= 16 * 2 ** 20
+    assert _peak_bytes(lambda: exact_law(spec, uniform(4))) <= 4 * BLOCK_BYTES
+
+
+def test_wide_first_product_law_memory_is_bounded_by_the_block():
+    # the mixed l=2 law of a callable first-arg kernel at n=5, k=3 on uniform4: a grid
+    # of 10^5 count-vector columns whose first product has (n*m)^(k-1) = 400 floats per
+    # column, 320 MB over the whole grid
+    spec = StatisticSpec(build_kernel("first-arg", 5, 3, 0), "mixed", l=2)
+    assert _peak_bytes(lambda: exact_law(spec, uniform(4))) <= 4 * BLOCK_BYTES
+
+
+def test_exact_law_memory_does_not_grow_with_the_realizations(monkeypatch):
+    # at a block of 2^16 floats the 2^16-realization law is one block and the
+    # 2^20-realization law sixteen
+    monkeypatch.setattr(prob_engine, "_BLOCK", 2 ** 16)
+    kf = functools.partial(random_coefficient_kernel, 2, seed=0, symmetric=True)
+    small, large = (StatisticSpec(kf(n), "pattern", pattern=(0, 1)) for n in (4, 5))
+    small_peak = _peak_bytes(lambda: exact_law(small, uniform(4)))
+    large_peak = _peak_bytes(lambda: exact_law(large, uniform(4)))
+    assert large_peak <= 1.5 * small_peak
+
+
+def _counted_contractions(monkeypatch):
+    calls = []
+
+    def counted(tensor, grids, pattern):
+        calls.append(pattern)
+        return _grid_contract(tensor, grids, pattern)
+
+    monkeypatch.setattr(prob_engine, "_grid_contract", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode,args", [("coupled", {}), ("pattern", {"pattern": (0, 1, 2)}),
+                                       ("not_all_equal", {}), ("symmetrized", {}),
+                                       ("mixed", {"l": 3})])
+def test_a_law_under_the_block_is_one_contraction_per_pattern(monkeypatch, mode, args):
+    calls = _counted_contractions(monkeypatch)
+    # at most 3^9 realizations, and 27 grid rows of at most 27^2 output floats each
+    spec = StatisticSpec(random_coefficient_kernel(3, 3, seed=1), mode, **args)
+    exact_law(spec, uniform(3))
+    assert calls == ([(0, 0, 0)] if mode == "mixed" else spec.patterns())
+
+
+def test_a_law_past_the_block_is_contracted_block_by_block(monkeypatch):
+    calls = _counted_contractions(monkeypatch)
+    spec = StatisticSpec(random_coefficient_kernel(2, 5, seed=0), "pattern", pattern=(0, 1))
+    exact_law(spec, uniform(4))  # 1024 first-copy rows of 1024 output floats each
+    assert len(calls) == 1024 // (prob_engine._BLOCK // 1024) > 1
+
+
+@pytest.mark.parametrize("block", [1, 300])
+@pytest.mark.parametrize("spec", list(_specs()),
+                         ids=lambda s: f"{s.kernel.label}-{s.mode}-{s.pattern or s.l}")
+def test_blocked_exact_law_matches_one_shot(monkeypatch, block, spec):
+    # one-row blocks, and blocks that end inside an aggregation block, give the
+    # one-shot law bit for bit
+    monkeypatch.setattr(prob_engine, "_BLOCK", block)
+    for dist in (rademacher(), uniform(3)):
+        assert_same_law(exact_law(spec, dist), one_shot_exact_law(spec, dist))
