@@ -5,7 +5,9 @@ common flags to the CorpusConfig fields they set, and `_CAMPAIGNS` gives each
 campaign subcommand its preset check list.  A config that parse_config or
 CorpusConfig rejects (an unknown key such as `tolerances`, an unknown check
 name such as `theorem1-upper`, a value its field cannot take unchanged,
-`mc_trials` below 100, `law_count` below 1) exits 2 before any check runs.
+`mc_trials` below 100, `law_count` below 1, an empty check list) exits 2 before
+any check runs, as does an `--out` or `output` report path that is empty, ends
+in `.csv` (the CSV table's path) or names a missing directory.
 The report carries the echoed config, per-check results, a summary, and meta
 information (each requested check's wall seconds and exact laws computed,
 under `meta.checks`); a flat CSV export (one row per check per threshold) is
@@ -185,7 +187,15 @@ def _load_config(args) -> tuple[CorpusConfig, str | None]:
     flags = {name: getattr(args, name) for name, _, flag in _FIELDS.values()
              if flag and getattr(args, name) is not None}
     cfg = dataclasses.replace(cfg, **{**flags, **args.preset})
-    return cfg, out if args.out is None else args.out
+    out = out if args.out is None else args.out
+    if out is not None:  # refused here, so no check runs for a report never written
+        if not out:
+            raise ValidationError("output: the report path is empty")
+        if os.path.splitext(out)[1] == ".csv":
+            raise ValidationError(f"output: {out!r} is where the CSV table is written")
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValidationError(f"output: the directory of {out!r} does not exist")
+    return cfg, out
 
 
 def _cmd_campaign(args) -> int:

@@ -5,7 +5,8 @@ sample values.  Evaluation is vectorized: each argument may be a float or a
 numpy array of trial values, and the result broadcasts accordingly (shape
 (..., dim) when dim > 1).  Index tuples are 0-based throughout.  On a finite
 law a kernel is a multilinear form in per-cell features (its cell tensor),
-which gives exact laws and an exact symmetry test.
+which gives exact laws and an exact symmetry test.  The constant, product, affine
+and random-coefficient classes are one form, stated once in `_coefficient_kernel`.
 """
 
 from __future__ import annotations
@@ -148,47 +149,43 @@ def mazur_orlicz_coefficient(j_tuple):
 # kernel corpus constructors
 # ---------------------------------------------------------------------------
 
-def _broadcast_const(c, args):
-    # c plus a zero multiple of the first argument, so batch shapes survive
-    base = 0.0 * np.asarray(args[0], dtype=float)
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 0:
-        return base + float(c)
-    return base[..., None] + c
+def _coefficient_kernel(k: int, n: int, coeff, const=0.0, dim: int = 1,
+                        label: str = "kernel", symmetric: bool = True) -> KernelFamily:
+    """f_idx(x_1,...,x_k) = coeff(idx) * x_1 * ... * x_k + const, stated once for both
+    `evaluate` and the coefficient tensor (none past MAX_TUPLE_COUNT entries).
+    `coeff` is a number, the same for every distinct tuple, or a function of the tuple.
+    """
+    at = coeff if callable(coeff) else (lambda idx: coeff)
+    shift = bool(np.any(const))  # adding a zero would turn -0.0 into 0.0
 
+    def evaluate(idx, args):
+        p = math.prod(np.asarray(a, dtype=float) for a in args)
+        out = at(idx) * p if dim == 1 else np.asarray(p)[..., None] * at(idx)
+        return out + const if shift else out
 
-def _zero_tensor(n: int, k: int, dim: int = 1):
-    """Zero coefficient tensor, or None when it would exceed MAX_TUPLE_COUNT entries."""
-    if n ** k * dim > MAX_TUPLE_COUNT:
-        return None
-    return np.zeros((n,) * k + ((dim,) if dim > 1 else ()))
+    tensor = None
+    if n ** k * dim <= MAX_TUPLE_COUNT:
+        tensor = np.zeros((n,) * k + ((dim,) if dim > 1 else ()))
+        if callable(coeff):
+            for idx in distinct_tuples(n, k):
+                tensor[idx] = coeff(idx)
+        else:
+            tensor[distinct_mask(n, k)] = coeff
+    return KernelFamily(k, n, evaluate, symmetric_claimed=symmetric, dim=dim,
+                        label=label, coeffs=tensor, const=const)
 
 
 def constant_kernel(k: int, n: int, c=1.0, dim: int = 1) -> KernelFamily:
-    def ev(idx, args):
-        return _broadcast_const(c, args)
-    return KernelFamily(k, n, ev, symmetric_claimed=True, dim=dim, label=f"const({c})",
-                        coeffs=_zero_tensor(n, k, dim), const=c)
+    return _coefficient_kernel(k, n, 0.0, const=c, dim=dim, label=f"const({c})")
 
 
 def product_kernel(k: int, n: int) -> KernelFamily:
     """f(x_1,...,x_k) = x_1 x_2 ... x_k, independent of the index tuple."""
-    def ev(idx, args):
-        out = np.asarray(args[0], dtype=float)
-        for a in args[1:]:
-            out = out * np.asarray(a, dtype=float)
-        return out
-    coeffs = distinct_mask(n, k).astype(float) if n ** k <= MAX_TUPLE_COUNT else None
-    return KernelFamily(k, n, ev, symmetric_claimed=True, label="product",
-                        coeffs=coeffs)
+    return _coefficient_kernel(k, n, 1.0, label="product")
 
 
 def affine_product_kernel(k: int, n: int, c: float = 1.0) -> KernelFamily:
-    base = product_kernel(k, n)
-    def ev(idx, args):
-        return base.evaluate(idx, args) + c
-    return KernelFamily(k, n, ev, symmetric_claimed=True, label=f"product+{c}",
-                        coeffs=base.coeffs, const=c)
+    return _coefficient_kernel(k, n, 1.0, const=c, label=f"product+{c}")
 
 
 def first_argument_kernel(k: int, n: int) -> KernelFamily:
@@ -205,24 +202,13 @@ def random_coefficient_kernel(k: int, n: int, seed: int = 0,
     With symmetric=True the coefficient depends on the sorted tuple only, which
     makes the family satisfy the joint permutation-invariance condition.
     """
+    key = (lambda idx: tuple(sorted(idx))) if symmetric else tuple
     rng = np.random.default_rng(seed)
     coeffs = {}
-    tensor = _zero_tensor(n, k, dim)
-    for t in distinct_tuples(n, k):
-        key = tuple(sorted(t)) if symmetric else t
-        if key not in coeffs:
+    for t in distinct_tuples(n, k):  # drawn in tuple order, whatever is evaluated
+        if key(t) not in coeffs:
             c = rng.integers(-3, 4, size=dim)
-            coeffs[key] = float(c[0]) if dim == 1 else c.astype(float)
-        if tensor is not None:
-            tensor[t] = coeffs[key]
-
-    def ev(idx, args):
-        c = coeffs[tuple(sorted(idx)) if symmetric else tuple(idx)]
-        p = math.prod(np.asarray(a, dtype=float) for a in args)
-        if dim == 1:
-            return c * p
-        return np.asarray(p, dtype=float)[..., None] * c
-
+            coeffs[key(t)] = float(c[0]) if dim == 1 else c.astype(float)
     tag = "sym-coeff" if symmetric else "coeff"
-    return KernelFamily(k, n, ev, symmetric_claimed=symmetric, dim=dim,
-                        label=f"{tag}(seed={seed})", coeffs=tensor)
+    return _coefficient_kernel(k, n, lambda idx: coeffs[key(idx)], dim=dim,
+                               label=f"{tag}(seed={seed})", symmetric=symmetric)

@@ -636,6 +636,8 @@ class CorpusConfig:
         for n, k in self.nk_pairs:
             if k > n:
                 raise ValidationError(f"configured pair n={n}, k={k} violates k <= n")
+        if not self.checks:  # a campaign of no checks would pass vacuously
+            raise ValidationError("checks: the check list is empty")
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise ValidationError(f"unknown check name {c!r}")

@@ -20,6 +20,14 @@ from decoupling_lab.ustat_engine import MODES, StatisticSpec
 from decoupling_lab.value_space import uniform
 from decoupling_lab.verifier import ALL_CHECKS
 
+
+@pytest.fixture
+def no_campaign(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(cli, "run_corpus", refuse)
+
+
 SMALL_CONFIG = {
     "seed": 0,
     "corpus": {
@@ -401,13 +409,11 @@ def test_cli_ls_below_1_exits_2_before_any_check(tmp_path, capsys):
     ({}, ["--checks", "lemma1,theorem1-upper"], "'theorem1-upper'"),
     ({"seed": -2}, [], "seed must be >= 0, got -2"),
     ({}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ({"checks": []}, [], "checks: the check list is empty"),
 ], ids=["mc_trials", "trials-flag", "law_count", "tolerances", "hyphen-config",
-        "hyphen-flag", "negative-seed", "negative-seed-flag"])
-def test_cli_rejected_config_exits_2_before_any_check(tmp_path, capsys, monkeypatch,
+        "hyphen-flag", "negative-seed", "negative-seed-flag", "empty-checks"])
+def test_cli_rejected_config_exits_2_before_any_check(tmp_path, capsys, no_campaign,
                                                       config, flags, message):
-    def no_campaign(cfg):
-        raise AssertionError("a check ran")
-    monkeypatch.setattr(cli, "run_corpus", no_campaign)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"checks": ["lemma1", "mc_consistency"], **config}))
     out = tmp_path / "r.json"
@@ -415,6 +421,27 @@ def test_cli_rejected_config_exits_2_before_any_check(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert "configuration error" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ({}, ["--out", "r.csv"], "'r.csv' is where the CSV table is written"),
+    ({"output": "r.csv"}, [], "'r.csv' is where the CSV table is written"),
+    ({}, ["--out", ""], "the report path is empty"),
+    ({"output": ""}, [], "the report path is empty"),
+    ({"output": "r.json"}, ["--out", ""], "the report path is empty"),
+    ({}, ["--out", "missing/r.json"], "the directory of 'missing/r.json' does not exist"),
+    ({"output": "missing/r.json"}, [], "the directory of 'missing/r.json' does not exist"),
+], ids=["csv-flag", "csv-config", "empty-flag", "empty-config", "empty-flag-over-config",
+        "missing-dir-flag", "missing-dir-config"])
+def test_cli_refused_report_path_exits_2_before_any_check(tmp_path, capsys, monkeypatch,
+                                                         no_campaign, config, flags,
+                                                         message):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"checks": ["prop1"], **config}))
+    assert main(["verify", "--config", "config.json", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and os.listdir() == ["config.json"]
+    assert f"configuration error: output: {message}" in captured.err
 
 
 def test_corpus_config_rejects_unknown_names():

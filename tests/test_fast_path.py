@@ -59,12 +59,19 @@ def _close(a, b):
 
 
 def test_tensor_matches_callable_pointwise():
-    for name in KERNELS:
-        kf = KERNELS[name](3, 4)
-        x = np.array([0.5, -1.5, 2.0])
-        for idx in [(0, 1, 2), (3, 1, 0), (2, 3, 1)]:
-            expected = kf.coeffs[idx] * x[0] * x[1] * x[2] + np.asarray(kf.const)
-            _close(kf.evaluate(idx, tuple(x)), expected)
+    # every distinct tuple, on arguments of broadcasting shapes in every order
+    rng = np.random.default_rng(19)
+    values = [rng.normal(size=shape) for shape in ((4, 1), (3,), ())]
+    makers = [*KERNELS.values(), lambda k, n: constant_kernel(k, n, c=(0.3, -1.7), dim=2)]
+    for make, (k, n) in itertools.product(makers, ((2, 3), (3, 4))):
+        kf = make(k, n)
+        for idx, args in itertools.product(itertools.permutations(range(n), k),
+                                           itertools.permutations(values[:k])):
+            p = np.prod(np.broadcast_arrays(*args), axis=0)
+            expected = np.multiply.outer(p, kf.coeffs[idx]) + np.asarray(kf.const)
+            got = kf.evaluate(idx, args)
+            assert np.shape(got) == expected.shape == (4, 3) + kf.coeffs.shape[k:]
+            _close(got, expected)
 
 
 def test_callable_only_kernels_and_ceiling():

@@ -286,10 +286,10 @@ def test_symmetrized_expansion_residual():
         assert symmetrized_expansion_residual(kf, s) <= 1e-12
 
 
-def test_run_corpus_empty_checks():
-    rep = run_corpus(CorpusConfig(checks=()))
-    assert rep["summary"]["total"] == 0
-    assert rep["summary"]["failed"] == 0
+def test_corpus_config_refuses_empty_checks():
+    # a campaign of no checks would print "0/0 checks passed" and exit 0
+    with pytest.raises(ValidationError, match="checks"):
+        CorpusConfig(checks=())
 
 
 def test_run_corpus_raises_a_runtime_error_that_is_no_invariant(monkeypatch):
