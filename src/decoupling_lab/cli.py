@@ -7,7 +7,9 @@ CorpusConfig rejects (an unknown key such as `tolerances`, an unknown check
 name such as `theorem1-upper`, a value its field cannot take unchanged,
 `mc_trials` below 100, `law_count` below 1, an empty check list) exits 2 before
 any check runs, as does an `--out` or `output` report path that is empty, ends
-in `.csv` (the CSV table's path) or names a missing directory.
+in `.csv` (the CSV table's path), names an existing directory, lies in a
+missing one or puts the CSV table on a directory.  `oracle --out` refuses an
+empty path, a directory and a missing directory before it computes the law.
 The report carries the echoed config, per-check results, a summary, and meta
 information (each requested check's wall seconds and exact laws computed,
 under `meta.checks`); a flat CSV export (one row per check per threshold) is
@@ -155,7 +157,7 @@ def run(cfg: CorpusConfig, out_path: str | None = None) -> tuple[dict, int]:
         with open(out_path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_table_csv(os.path.splitext(out_path)[0] + ".csv", body["table"])
+        _write_table_csv(_table_path(out_path), body["table"])
     code = 0 if body["summary"]["failed"] == 0 else 1
     for skip in body["summary"].get("skipped", []):
         print(f"skipped: {skip['check']} {skip['instance_id']}: {skip['reason']}",
@@ -189,13 +191,26 @@ def _load_config(args) -> tuple[CorpusConfig, str | None]:
     cfg = dataclasses.replace(cfg, **{**flags, **args.preset})
     out = out if args.out is None else args.out
     if out is not None:  # refused here, so no check runs for a report never written
-        if not out:
-            raise ValidationError("output: the report path is empty")
+        _check_report_path(out)
         if os.path.splitext(out)[1] == ".csv":
             raise ValidationError(f"output: {out!r} is where the CSV table is written")
-        if not os.path.isdir(os.path.dirname(out) or "."):
-            raise ValidationError(f"output: the directory of {out!r} does not exist")
+        _check_report_path(_table_path(out))
     return cfg, out
+
+
+def _table_path(out_path: str) -> str:
+    return os.path.splitext(out_path)[0] + ".csv"
+
+
+def _check_report_path(path: str) -> None:
+    """Refuse a report path that is empty, names a directory or lies in a missing
+    one, before any work is done for a report that could not be written."""
+    if not path:
+        raise ValidationError("output: the report path is empty")
+    if os.path.isdir(path):
+        raise ValidationError(f"output: {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"output: the directory of {path!r} does not exist")
 
 
 def _cmd_campaign(args) -> int:
@@ -212,6 +227,8 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.out is not None:
+        _check_report_path(args.out)
     if args.budget <= 0:
         raise ValidationError("enumeration budget must be positive")
     if args.seed is not None and args.seed < 0:
@@ -222,7 +239,7 @@ def _cmd_oracle(args) -> int:
     law = exact_law(spec, dist, args.budget)
     payload = {"values": law.values.tolist(), "probs": law.probs.tolist()}
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:

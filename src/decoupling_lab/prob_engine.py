@@ -7,7 +7,12 @@ memory is bounded by _BLOCK floats, not by the number of realizations; mixed
 laws on per-row count vectors.  Either way the law covers every sample-matrix
 realization exactly.  Monte Carlo tails and support counts draw from a PCG64
 generator keyed by the seed, so identical (seed, spec) inputs give
-bit-identical output regardless of scheduling.
+bit-identical output regardless of scheduling.  They draw in chunks of at most
+_CHUNK trials, fewer where a trial's drawn cells and its row of the first
+contraction product, n x copies x (atom size) + n^(k-1) x dim floats, would
+take a chunk past _BLOCK floats (see _mc_norms), so their memory is bounded by
+the block too: 1.9 against 6.5 MiB traced for 10^5 draws of a pattern (0, 1, 2)
+law at n=6, k=3.
 kappa is the closed form (E|Y|)^2 / E(Y^2) of a mean-zero 1-D law.
 """
 
@@ -28,8 +33,8 @@ from .value_space import DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm
 _VALUE_DECIMALS = 12  # aggregation resolution for norm values
 MIN_TRIALS = 100  # fewest Monte Carlo trials mc_tail accepts
 KAPPA_MEAN_TOL = 1e-9  # |E Y| above this is not mean zero
-_CHUNK = 2 ** 13  # values per aggregation block, trials per Monte Carlo chunk
-_BLOCK = 2 ** 17  # floats in the widest array of one exact-law contraction block (see exact_law)
+_CHUNK = 2 ** 13  # values per aggregation block; most trials per Monte Carlo chunk
+_BLOCK = 2 ** 17  # floats in the widest array of one exact-law block or Monte Carlo chunk
 _EDGE_ATOMS = 256  # a one-byte atom index; per chunk, edge passes tie bisection near here
 
 
@@ -255,17 +260,32 @@ def sample_matrices(dist: DiscreteDistribution, n: int, copies: int,
 
 
 def _mc_norms(spec: StatisticSpec, dist: DiscreteDistribution, trials: int, seed: int):
-    """Norms of `trials` sampled statistics, _CHUNK at a time, from one PCG64 stream
+    """Norms of `trials` sampled statistics, a chunk at a time, from one PCG64 stream
     that no check's corpus stream replays, since its seed sequence has a spawn
-    key.  The chunks refill one set of sample_matrices buffers."""
+    key.  The chunks refill one set of sample_matrices buffers.
+
+    A trial needs w = n x copies x (atom size) floats for its drawn cells and
+    n^(k-1) x dim for its row of `_contract`'s first product, so a chunk has
+    min(_CHUNK, _BLOCK // w) trials (at least one), the rule `_block_rows` gives
+    exact laws.  PCG64 hands out doubles in stream order, so the chunks do not
+    change a draw.  The pattern (0, 1, 2) laws of mc_consistency take chunks of
+    2,427 trials at n=6, 3,276 at n=5 and 4,681 at n=4; k=2 laws up to n=5 keep
+    8,192.  Traced peaks of _mc_counts at 10^5 trials on a Rademacher `coeff`
+    kernel at n=6, k=3 fell from 6.5 to 1.9 MiB; of mc_tail at 2 x 10^4 trials
+    on a uniform3 `coeff` kernel at n=10, k=4, from 77 to 1.2 MiB.
+    """
+    kf, copies = spec.kernel, spec.copies_needed
+    atom = dist.values_array().shape[1:]
+    width = kf.n * copies * math.prod(atom) + kf.n ** (kf.k - 1) * kf.dim
+    chunk = min(_CHUNK, max(1, _BLOCK // width), trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
-    shape = (min(_CHUNK, trials), spec.kernel.n, spec.copies_needed)
+    shape = (chunk, kf.n, copies)
     out = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8),
-           np.empty(shape + dist.values_array().shape[1:]))
-    for done in range(0, trials, _CHUNK):
-        size = min(_CHUNK, trials - done)
+           np.empty(shape + atom))
+    for done in range(0, trials, chunk):
+        size = min(chunk, trials - done)
         yield evaluate_norms(spec, sample_matrices(
-            dist, spec.kernel.n, spec.copies_needed, size, rng, [b[:size] for b in out]))
+            dist, kf.n, copies, size, rng, [b[:size] for b in out]))
 
 
 def mc_tail(spec: StatisticSpec, dist: DiscreteDistribution, t_grid,

@@ -431,17 +431,51 @@ def test_cli_rejected_config_exits_2_before_any_check(tmp_path, capsys, no_campa
     ({"output": "r.json"}, ["--out", ""], "the report path is empty"),
     ({}, ["--out", "missing/r.json"], "the directory of 'missing/r.json' does not exist"),
     ({"output": "missing/r.json"}, [], "the directory of 'missing/r.json' does not exist"),
+    ({}, ["--out", "taken"], "'taken' is a directory"),
+    ({"output": "taken"}, [], "'taken' is a directory"),
+    ({}, ["--out", "taken.json"], "'taken.csv' is a directory"),
 ], ids=["csv-flag", "csv-config", "empty-flag", "empty-config", "empty-flag-over-config",
-        "missing-dir-flag", "missing-dir-config"])
+        "missing-dir-flag", "missing-dir-config", "directory-flag", "directory-config",
+        "table-directory"])
 def test_cli_refused_report_path_exits_2_before_any_check(tmp_path, capsys, monkeypatch,
                                                          no_campaign, config, flags,
                                                          message):
     monkeypatch.chdir(tmp_path)
     Path("config.json").write_text(json.dumps({"checks": ["prop1"], **config}))
+    Path("taken").mkdir()
+    Path("taken.csv").mkdir()
     assert main(["verify", "--config", "config.json", *flags]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and os.listdir() == ["config.json"]
+    assert captured.out == ""
+    assert sorted(os.listdir()) == ["config.json", "taken", "taken.csv"]
+    assert os.listdir("taken") == os.listdir("taken.csv") == []
     assert f"configuration error: output: {message}" in captured.err
+
+
+@pytest.mark.parametrize("path, message", [
+    ("", "the report path is empty"),
+    ("missing/x.json", "the directory of 'missing/x.json' does not exist"),
+    ("taken", "'taken' is a directory"),
+], ids=["empty", "missing-dir", "directory"])
+def test_cli_oracle_refused_report_path_exits_2_before_the_law(tmp_path, capsys,
+                                                               monkeypatch, path, message):
+    def refuse(*args):
+        raise AssertionError("the law was computed")
+
+    monkeypatch.setattr(cli, "exact_law", refuse)
+    monkeypatch.chdir(tmp_path)
+    Path("taken").mkdir()
+    assert main(["oracle", "--n", "3", "--k", "2", "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and os.listdir() == ["taken"] and os.listdir("taken") == []
+    assert f"configuration error: output: {message}" in captured.err
+
+
+def test_cli_oracle_writes_the_law_to_its_report_path(tmp_path, capsys):
+    out = tmp_path / "law.json"
+    assert main(["oracle", "--n", "2", "--k", "2", "--mode", "pattern", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == {"values": [0.0, 2.0], "probs": [0.5, 0.5]}
 
 
 def test_corpus_config_rejects_unknown_names():

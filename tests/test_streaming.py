@@ -276,6 +276,51 @@ def test_mc_tail_memory_is_bounded_by_the_chunk():
 BLOCK_BYTES = 8 * prob_engine._BLOCK  # the widest float array one contraction block builds
 
 
+def _pattern_spec(cls, n, k):
+    return StatisticSpec(build_kernel(cls, n, k, 0), "pattern", pattern=tuple(range(k)))
+
+
+def test_mc_counts_memory_is_bounded_by_the_block():
+    # a chunk of 8,192 trials would hold 8,192 x 6^2 floats of first product
+    spec, dist = _pattern_spec("coeff", 6, 3), rademacher()
+    law = exact_law(spec, dist)
+    assert _peak_bytes(lambda: _mc_counts(spec, dist, law, 10 ** 5, seed=1)) <= 4 * BLOCK_BYTES
+
+
+def test_mc_tail_memory_is_bounded_by_the_block():
+    # n^(k-1) = 1,000 floats of first product per trial
+    spec = _pattern_spec("coeff", 10, 4)
+    assert _peak_bytes(lambda: mc_tail(spec, uniform(3), [0.5, 5.0], 2 * 10 ** 4,
+                                       seed=1)) <= 4 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("cls, n, k, dist, trials, sizes", [
+    ("coeff", 6, 3, rademacher(), 2428, [2427, 1]),  # 6 x 3 cells + 6^2: 54 floats a trial
+    ("coeff", 4, 3, uniform(4), 8193, [4681, 3512]),  # 4 x 3 + 4^2 = 28
+    ("coeff", 5, 2, uniform(3), 8193, [8192, 1]),  # 5 x 2 + 5 = 15: the _CHUNK cap
+])
+def test_mc_chunks_are_sized_by_their_width(cls, n, k, dist, trials, sizes):
+    chunks = list(_mc_norms(_pattern_spec(cls, n, k), dist, trials, seed=1))
+    assert [c.size for c in chunks] == sizes
+
+
+@pytest.mark.parametrize("block", [1, 997])
+@pytest.mark.parametrize("cls", ["coeff", "first-arg"])
+def test_width_sized_mc_chunks_match_one_shot(monkeypatch, block, cls):
+    # one-trial chunks, and chunks of 997 // 12 = 83 trials that end inside no
+    # power of two: the draws, tails and support counts of one-shot sampling
+    monkeypatch.setattr(prob_engine, "_BLOCK", block)
+    spec, dist, trials = _pattern_spec(cls, 4, 2), uniform(3), 301
+    grid = np.linspace(0.0, 12.0, 25)
+    assert np.array_equal(mc_tail(spec, dist, grid, trials, seed=7),
+                          one_shot_mc_tail(spec, dist, grid, trials, seed=7))
+    law = exact_law(spec, dist)
+    rounded = np.round(one_shot_norms(spec, dist, trials, seed=7), _VALUE_DECIMALS)
+    counts, off = _mc_counts(spec, dist, law, trials, seed=7)
+    assert counts.tolist() == [np.count_nonzero(rounded == v) for v in law.values]
+    assert off == 0
+
+
 def test_exact_law_memory_is_bounded_by_the_block():
     # 4^10 = 2^20 realizations: 8 MiB of output floats, held a block at a time
     spec = StatisticSpec(random_coefficient_kernel(2, 5, seed=0, symmetric=True),
