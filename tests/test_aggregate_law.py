@@ -1,8 +1,18 @@
-"""aggregate_law against the np.unique + np.add.at body it replaced.
+"""aggregate_law against the bodies it replaced.
 
-The reference below is that body, kept verbatim: np.unique(return_inverse=True)
-finds the support and np.add.at adds each point's probabilities.  Aggregating
-block by block must give the same law bit for bit, and hold less memory.
+The first reference below is the np.unique + np.add.at body, kept verbatim:
+np.unique(return_inverse=True) finds the support and np.add.at adds each
+point's probabilities.  Aggregating block by block must give the same law bit
+for bit, and hold less memory.
+
+The second is the block-by-block body that looked every value up in the
+running support, also kept verbatim.  While every probability is the same,
+_aggregate counts each point's values instead, and adds the probability to
+0.0 once per count in one running np.add.accumulate; both must give the law
+that body gives, bit for bit, whatever the blocks, including blocks whose
+probabilities change partway, NaN, +-inf, +-0.0, zero probabilities and
+counts past _BLOCK.  The tests rely on np.add.at and np.add.accumulate adding
+in order, so they run on every NumPy the package accepts.
 """
 
 import tracemalloc
@@ -10,10 +20,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decoupling_lab.kernel import random_coefficient_kernel
+from decoupling_lab import prob_engine, verifier
+from decoupling_lab.errors import ValidationError
+from decoupling_lab.kernel import first_argument_kernel, random_coefficient_kernel
 from decoupling_lab.prob_engine import (_VALUE_DECIMALS, DiscreteLaw, StatisticSpec,
-                                        aggregate_law, exact_law)
-from decoupling_lab.value_space import uniform
+                                        _aggregate, aggregate_law, exact_law)
+from decoupling_lab.value_space import DEFAULT_ENUM_BUDGET, rademacher, uniform
 
 
 def reference_law(values, probs) -> DiscreteLaw:
@@ -104,3 +116,150 @@ def test_decoupled_uniform3_law_is_unchanged():
     ]
     assert np.array_equal(law.values, np.array(values, dtype=float))
     assert np.array_equal(law.probs, np.array([float.fromhex(p) for p in probs]))
+
+
+def looked_up_law(blocks) -> DiscreteLaw:
+    """The block-by-block body that looked each value up, verbatim."""
+    support, sums = np.empty(0), np.empty(0)
+    for values, probs in blocks:
+        v, p = np.round(np.asarray(values, float), _VALUE_DECIMALS).ravel(), np.ravel(probs)
+        if v.size != p.size:
+            raise ValidationError(f"{v.size} values for {p.size} probabilities")
+        s = np.sort(v)  # NaNs last; np.unique would import numpy.ma
+        new = np.append(s[:1], s[1:][(s[1:] != s[:-1]) & (s[:-1] == s[:-1])])  # a single NaN
+        new = new[np.searchsorted(support, new) == np.searchsorted(support, new, "right")]
+        at = np.searchsorted(support, new)  # where each point the support lacks goes
+        support, sums = np.insert(support, at, new), np.insert(sums, at, 0.0)
+        np.add.at(sums, np.searchsorted(support, v), p)
+    return DiscreteLaw(support[sums > 0], sums[sums > 0] / sums.sum())
+
+
+def _outcome(make_law):
+    """The bytes of the law make_law() returns, or the message of the ValidationError
+    it raises."""
+    try:
+        law = make_law()
+    except ValidationError as e:
+        return str(e)
+    return law.values.tobytes(), law.probs.tobytes()
+
+
+def assert_same_as_looked_up(blocks):
+    assert _outcome(lambda: _aggregate(iter(blocks))) == _outcome(lambda: looked_up_law(blocks))
+
+
+def _block(rng, size, points, p):
+    """`size` values on about `points` points (None: nearly all distinct) with a
+    sprinkling of NaN, +-inf and +-0.0, at probability p (None: random)."""
+    values = (rng.standard_normal(size) if points is None
+              else rng.integers(-points, points + 1, size) * 0.37)
+    special = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], size)
+    values = np.where(rng.random(size) < 0.08, special, values)
+    probs = rng.random(size) if p is None else np.full(size, p)
+    return values, probs
+
+
+def _block_sequences(seed, count):
+    """Random block sequences whose probabilities are all p up to a random block,
+    then random (p may be 0.0; the switch may never come)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = rng.choice([0.25, 1 / 3, 0.0, 1e-7, 2.0 ** -20])
+        blocks = int(rng.integers(1, 10))
+        switch = int(rng.integers(0, blocks + 2))
+        yield [_block(rng, int(rng.choice([0, 1, 5, 100, 3000, 20000])),
+                      int(rng.integers(1, 50)) if rng.random() < 0.7 else None,
+                      p if b < switch else None)
+               for b in range(blocks)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_counted_blocks_match_the_looked_up_body(seed):
+    for blocks in _block_sequences(seed, 25):
+        assert_same_as_looked_up(blocks)
+
+
+@pytest.mark.parametrize("chunk, block", [(7, 3), (100, 1), (1, 2)])
+def test_counted_blocks_match_the_looked_up_body_at_small_sizes(monkeypatch, chunk, block):
+    # a few values per aggregation block and a running sum carried every few counts
+    monkeypatch.setattr(prob_engine, "_CHUNK", chunk)
+    monkeypatch.setattr(prob_engine, "_BLOCK", block)
+    for blocks in _block_sequences(100 + chunk, 15):
+        assert_same_as_looked_up(blocks)
+    rng = np.random.default_rng(chunk)
+    values, probs = _block(rng, 600, 6, 0.125)
+    probs[400:] = rng.random(200)
+    blocks = [(values[i:i + chunk], probs[i:i + chunk]) for i in range(0, values.size, chunk)]
+    assert _outcome(lambda: aggregate_law(values, probs)) == _outcome(
+        lambda: looked_up_law(blocks))
+
+
+def test_counts_past_the_block_carry_the_running_sum():
+    # 300,000 values on two points at one probability: each count passes _BLOCK,
+    # so the sums carry the running sum over many accumulation steps of _CHUNK
+    # terms; then a block of random probabilities
+    rng = np.random.default_rng(5)
+    big = [(rng.integers(0, 2, 100_000) * 1.5, np.full(100_000, 1 / 3e5)) for _ in range(3)]
+    assert 150_000 > prob_engine._BLOCK > prob_engine._CHUNK
+    assert_same_as_looked_up(big)
+    assert_same_as_looked_up(big + [_block(rng, 200_000, 3, None)])
+    assert_same_as_looked_up([_block(rng, 200_000, None, 0.5)] + big)
+
+
+@pytest.mark.parametrize("p", [2.0 ** -20, None], ids=["equal", "random"])
+def test_two_to_the_twenty_distinct_values_match_the_looked_up_body(p):
+    rng = np.random.default_rng(20)
+    values, probs = _block(rng, 2 ** 20, None, p)
+    chunk = prob_engine._CHUNK
+    blocks = [(values[i:i + chunk], probs[i:i + chunk]) for i in range(0, values.size, chunk)]
+    assert _outcome(lambda: aggregate_law(values, probs)) == _outcome(
+        lambda: looked_up_law(blocks))
+
+
+@pytest.mark.parametrize("values, probs", [
+    ([1.0, 2.0, 1.0], [0.0, 0.0, 0.0]),  # no mass: refused alike
+    ([1.0, 2.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.5]),  # zero-probability points dropped
+    ([-0.0, 0.0, 0.0, -0.0], [0.25] * 4),
+    ([0.0, -0.0, np.nan, np.nan, np.inf, -np.inf], [0.5] * 6),
+    ([1.0, 1.0, 2.0], [np.nan] * 3),
+])
+def test_edge_blocks_match_the_looked_up_body(values, probs):
+    values, probs = np.array(values), np.array(probs)
+    for cut in range(values.size + 1):  # every split into two blocks, one maybe empty
+        assert_same_as_looked_up([(values[:cut], probs[:cut]), (values[cut:], probs[cut:])])
+
+
+def _campaign_laws(monkeypatch):
+    """(spec, dist, budget, law) of every exact law the default campaign computes."""
+    laws = []
+
+    def recording(spec, dist, budget=DEFAULT_ENUM_BUDGET):
+        law = exact_law(spec, dist, budget)
+        laws.append((spec, dist, budget, law))
+        return law
+
+    monkeypatch.setattr(verifier, "exact_law", recording)
+    verifier.run_corpus(verifier.CorpusConfig(seed=1))
+    monkeypatch.undo()
+    return laws
+
+
+def test_counting_is_the_path_equal_probability_laws_take(monkeypatch):
+    laws = _campaign_laws(monkeypatch)
+
+    def lookup(*args):
+        raise AssertionError("a value was looked up")
+
+    monkeypatch.setattr(prob_engine, "_looked_up", lookup)
+    equal = [law for law in laws if law[0].mode in ("coupled", "pattern")]
+    assert {spec.mode for spec, *_ in equal} == {"coupled", "pattern"} and len(equal) > 20
+    for spec, dist, budget, law in equal:
+        got = exact_law(spec, dist, budget)
+        assert got.values.tobytes() == law.values.tobytes()
+        assert got.probs.tobytes() == law.probs.tobytes()
+    kf = first_argument_kernel(2, 4)
+    for spec in (StatisticSpec(kf, "symmetrized"), StatisticSpec(kf, "not_all_equal"),
+                 StatisticSpec(kf, "mixed", l=1)):
+        exact_law(spec, uniform(3))
+    with pytest.raises(AssertionError, match="looked up"):  # unequal count-vector weights
+        exact_law(StatisticSpec(kf, "mixed", l=2), rademacher())

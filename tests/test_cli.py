@@ -77,6 +77,15 @@ def test_run_exit_codes(tmp_path):
     assert (tmp_path / "report.csv").exists()
 
 
+def test_run_writes_the_report_as_sorted_indented_json(tmp_path):
+    # the file format a faster writer must keep
+    cfg, _ = parse_config(json.dumps(SMALL_CONFIG))
+    report, _ = run(cfg, str(tmp_path / "report.json"))
+    text = (tmp_path / "report.json").read_text()
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert json.loads(text)["results"] == report["results"]
+
+
 def test_run_deterministic(tmp_path):
     cfg, _ = parse_config(json.dumps(SMALL_CONFIG))
     rep_a, _ = run(cfg)
