@@ -15,12 +15,13 @@ information (each requested check's wall seconds and exact laws computed,
 under `meta.checks`); a flat CSV export (one row per check per threshold) is
 written next to the JSON report for plotting.
 
-Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error,
-3 budget/resource error.  Instances left out for a budget or a check's size cap
-are listed under `summary.skipped` and on stderr, and do not change the exit
-code.  A requested check that records no result (listed under `summary.not_run`)
-exits 3 when budgets or size caps emptied it and 2 otherwise, unless a check
-failed.
+Exit codes: 0 all checks pass, 1 any check failed, 2 a configuration refused
+before any check runs, 3 budget/resource error.  A ValidationError that a check
+raises fails its instance (`detail.error`) instead.  Instances left out for a
+budget or a check's size cap are listed under `summary.skipped` and on stderr,
+and do not change the exit code.  A requested check that records no result
+(listed under `summary.not_run`) exits 3 when budgets or size caps emptied it
+and 2 otherwise, unless a check failed.
 """
 
 from __future__ import annotations

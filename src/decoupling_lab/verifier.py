@@ -6,7 +6,9 @@ is an implementation bug, never sampling noise.  Tail laws are finite step
 functions, so the smallest constant C with all-t tail domination (factor C,
 threshold t/C) is a max-min over pairs of support points; each tail is read
 by `prob_engine.tail`, and an independent tail-domination check confirms
-every constant before it counts.
+every constant before it counts.  Inequality rows and tail tests hold up to
+IDENTITY_TOL relative to their larger side (`_holds`), which no scaling of the
+kernel or the atoms changes; identity residuals stay absolute.
 
 A campaign is a table of checks: each check is a generator that yields its
 results (with their table rows) or the instances it could not finish, and one
@@ -36,13 +38,13 @@ from .ustat_engine import StatisticSpec
 from .value_space import (DEFAULT_ENUM_BUDGET, DiscreteDistribution, batch_norm, norm,
                           rademacher, uniform)
 
-IDENTITY_TOL = 1e-12
+IDENTITY_TOL = 1e-12  # relative in _holds; absolute for the identity residuals
 # Larger constants count as infeasible: without a ceiling almost every lemma3
 # instance would pass, since a finite constant nearly always exists.
 C_CEILING = float(2 ** 20)
 DISTRIBUTIONAL_BUDGET = 2 ** 20  # joint assignments one distributional check may list
 MC_ALPHA = 1e-9  # chance that mc_consistency fails a correct build, per campaign
-_UNFINISHED = (BudgetExceededError, InvariantError)  # a check yields these as a Skip
+_UNFINISHED = (BudgetExceededError, InvariantError, ValidationError)  # yielded as a Skip
 NOT_RUN_BUDGET = "every instance exceeds a budget or size cap"
 NOT_RUN_CONFIG = "no instance of the configured corpus applies"
 
@@ -80,38 +82,42 @@ class ConstantSearchResult:
 # tail domination and the closed-form minimal constant
 # ---------------------------------------------------------------------------
 
-def _positive_tails(law: DiscreteLaw):
-    """Positive support points and P(value >= point) at each."""
+def _holds(lhs, rhs) -> bool:
+    """Whether lhs <= rhs at every entry, up to IDENTITY_TOL times the larger magnitude."""
+    return bool(np.all(lhs - rhs <= IDENTITY_TOL * np.maximum(np.abs(lhs), np.abs(rhs))))
+
+
+def _positive_tails(law: DiscreteLaw, scale=1.0):
+    """Positive support points divided by `scale`, and P(value >= point) at each."""
     ts = law.values[law.values > 0]
-    return ts, tail(law, ts)
+    return ts / scale, tail(law, ts)
 
 
-def _tail_rows(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float):
-    """(t, lhs_tail(t), c * rhs_tail(t/c)) at the positive left support points t,
-    the only t > 0 that can bind: the left tail is constant up to each of them
-    and c * rhs_tail(t/c) only falls as t grows."""
-    ts, lhs = _positive_tails(law_l)
+def _tail_rows(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float, scale=1.0):
+    """(t, lhs_tail(t), c * rhs_tail(t/c)) at the positive left support points t
+    (divided by scale), the only t > 0 that can bind: the left tail is constant
+    up to each of them and c * rhs_tail(t/c) only falls as t grows."""
+    ts, lhs = _positive_tails(law_l, scale)
     # a small relative slack, so that c * right support points survive the division by c
     u = ts / c - 1e-9 * np.maximum(1.0, ts / c)
     return ts, lhs, c * tail(law_r, u)
 
 
-def tails_dominated(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float) -> bool:
-    """Whether lhs_tail(t) <= c * rhs_tail(t/c) for every t > 0."""
-    _, lhs, rhs = _tail_rows(law_l, law_r, c)
-    return bool(np.max(lhs - rhs, initial=-np.inf) <= IDENTITY_TOL)
+def tails_dominated(law_l: DiscreteLaw, law_r: DiscreteLaw, c: float, scale=1.0) -> bool:
+    """Whether lhs_tail(t) <= c * rhs_tail(t/c) for every t > 0, left values / scale."""
+    return _holds(*_tail_rows(law_l, law_r, c, scale)[1:])
 
 
-def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchResult:
+def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw, scale=1.0) -> ConstantSearchResult:
     """Smallest c >= 1 with lhs_tail(t) <= c * rhs_tail(t/c) for every t > 0.
 
-    At a positive left support point v with a = lhs_tail(v), a constant c
-    works exactly when some positive right support point w has v/w <= c and
-    a/rhs_tail(w) <= c, so c_min = max(1, max_v min_w max(v/w, a/rhs_tail(w))).
-    The search is feasible only if tails_dominated confirms c_min and c_min <=
-    C_CEILING; otherwise c_min is nan.
+    At a positive left support point v (a value divided by scale) with a =
+    lhs_tail(v), a constant c works exactly when some positive right support
+    point w has v/w <= c and a/rhs_tail(w) <= c, so c_min = max(1, max_v min_w
+    max(v/w, a/rhs_tail(w))).  The search is feasible only if tails_dominated
+    confirms c_min and c_min <= C_CEILING; otherwise c_min is nan.
     """
-    v, a = _positive_tails(law_l)
+    v, a = _positive_tails(law_l, scale)
     w, r = _positive_tails(law_r)
     c_min, binding = (math.inf if v.size else 1.0), None
     if v.size and w.size:
@@ -127,11 +133,11 @@ def minimal_constant(law_l: DiscreteLaw, law_r: DiscreteLaw) -> ConstantSearchRe
         if per_v[i] >= 1.0:  # below 1 no pair binds, only the floor c >= 1
             binding = {"v": float(v[i]), "w": float(w[best_w[i]]),
                        "at_top": bool(i == v.size - 1 and best_w[i] == w.size - 1)}
-    if not (c_min <= C_CEILING and tails_dominated(law_l, law_r, c_min)):
+    if not (c_min <= C_CEILING and tails_dominated(law_l, law_r, c_min, scale)):
         return ConstantSearchResult(math.nan, False, 0.0)
-    t, lhs, rhs = _tail_rows(law_l, law_r, c_min)
+    t, lhs, rhs = _tail_rows(law_l, law_r, c_min, scale)
     row = None if binding is None else CheckRow(  # row i is at t = binding v
-        float(t[i]), float(lhs[i]), float(rhs[i]), bool(lhs[i] <= rhs[i] + IDENTITY_TOL))
+        float(t[i]), float(lhs[i]), float(rhs[i]), _holds(lhs[i], rhs[i]))
     return ConstantSearchResult(c_min, True, max((lhs - rhs).tolist(), default=0.0),
                                 binding, row)
 
@@ -182,8 +188,7 @@ def search_constant(kf: KernelFamily, dist: DiscreteDistribution, direction: str
     res = minimal_constant(laws[left], laws[right])
     if direction != "lemma3":
         return res
-    scaled = DiscreteLaw(laws[left].values / l ** k, laws[left].probs)
-    return replace(res, c_min_scaled=minimal_constant(scaled, laws[right]).c_min)
+    return replace(res, c_min_scaled=minimal_constant(laws[left], laws[right], l ** k).c_min)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +207,7 @@ def verify_lemma1(dist: DiscreteDistribution,
     law_sum = aggregate_law(batch_norm(pairs, norm_kind, dim), np.outer(probs, probs))
     rows = zip(*(a.tolist() for a in _tail_rows(
         law_x, DiscreteLaw(law_sum.values / 2, law_sum.probs), 3.0)))
-    return InequalityReport(tuple(CheckRow(t, lhs, rhs, lhs <= rhs + IDENTITY_TOL)
+    return InequalityReport(tuple(CheckRow(t, lhs, rhs, _holds(lhs, rhs))
                                   for t, lhs, rhs in rows))
 
 
@@ -212,8 +217,7 @@ def verify_prop1(a: float, dist: DiscreteDistribution) -> InequalityReport:
     target = abs(float(a))
     lhs = float(probs[np.abs(a + values) >= target - IDENTITY_TOL].sum())
     rhs = kappa(values, probs) / 4.0
-    row = CheckRow(target, lhs, rhs, lhs + IDENTITY_TOL >= rhs)
-    return InequalityReport((row,))
+    return InequalityReport((CheckRow(target, lhs, rhs, _holds(rhs, lhs)),))
 
 
 def sign_chaos_values(coeffs: dict, n: int, x0=0.0) -> np.ndarray:
@@ -279,9 +283,8 @@ def verify_moment_comparison(coeffs, n: int, degree: int,
             rows.append(CheckRow(0.0, 0.0, bound, True))  # degenerate: skipped
             continue
         ratio = m4 / m2
-        rows.append(CheckRow(0.0, ratio, bound, ratio <= bound + IDENTITY_TOL))
-        c = ratio
-        rows.append(CheckRow(1.0, m2, c * c * m1, m2 <= c * c * m1 + IDENTITY_TOL))
+        rows.append(CheckRow(0.0, ratio, bound, _holds(ratio, bound)))
+        rows.append(CheckRow(1.0, m2, ratio * ratio * m1, _holds(m2, ratio * ratio * m1)))
     return InequalityReport(tuple(rows))
 
 
@@ -699,10 +702,10 @@ def run_corpus(cfg: CorpusConfig) -> dict:
     what it yields; returns a JSON-ready dict.
 
     Each result goes to `results` and its rows to `table`.  Of the instances a
-    check could not finish, a refusal goes to `summary.skipped` and a broken
-    invariant to `results`, failed with `detail.error`.  `checks` holds every
-    requested check's wall seconds and exact laws computed, measured around
-    that check alone.
+    check could not finish, a budget refusal goes to `summary.skipped` and any
+    other (a broken invariant, a refused input) to `results`, failed with
+    `detail.error`.  `checks` holds every requested check's wall seconds and
+    exact laws computed, measured around that check alone.
     """
     # each exact law once per (instance, statistic)
     law_of = functools.cache(functools.partial(exact_law, budget=cfg.enum_budget))
@@ -719,7 +722,7 @@ def run_corpus(cfg: CorpusConfig) -> dict:
                     skipped.append({"check": check, "instance_id": out.instance,
                                     "reason": str(out.error)})
                     continue
-                out = Outcome(out.instance, False, {"error": str(out.error)})  # an InvariantError
+                out = Outcome(out.instance, False, {"error": str(out.error)})
             where = {"check": check, "instance_id": out.instance,
                      "n": out.n, "k": out.k, "l": out.l}
             results.append({**where, "passed": bool(out.passed), "detail": out.detail})

@@ -283,6 +283,29 @@ def test_a_broken_exact_law_invariant_is_a_failed_result(monkeypatch, tmp_path, 
                             r"has total mass 0\.\d+", r["detail"]["error"])
 
 
+def test_a_check_refusing_its_input_fails_the_instance(monkeypatch, tmp_path, capsys):
+    # the product kernel found asymmetric inside the searches: its instances fail
+    # with the refusal, the other kernels' still record results, and the run exits 1
+    check_symmetry = verifier.check_symmetry
+    monkeypatch.setattr(verifier, "check_symmetry",
+                        lambda kf, dist: kf.label != "product" and check_symmetry(kf, dist))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--seed", "1", "--checks", "theorem1_lower,lemma3",
+                 "--out", str(out)]) == 1
+    assert "configuration error" not in capsys.readouterr().err
+    results = json.loads(out.read_text())["results"]
+    product = [r for r in results if ":product:" in r["instance_id"]]
+    assert {r["check"] for r in product} == {"theorem1_lower", "lemma3"}
+    for r in product:
+        direction = {"theorem1_lower": "lower", "lemma3": "lemma3"}[r["check"]]
+        assert not r["passed"]
+        assert r["detail"] == {"error": f"{direction}-direction search requires a "
+                                        "symmetric kernel, got product"}
+    others = [r for r in results if ":product:" not in r["instance_id"]]
+    assert {r["check"] for r in others} == {"theorem1_lower", "lemma3"}
+    assert all(r["passed"] for r in others)
+
+
 def test_cli_identities_subcommand(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**SMALL_CONFIG, "checks": ["identities"]}))

@@ -70,8 +70,7 @@ def _lemma1_t_grid_reference(dist, norm_kind):
             continue
         lhs = tail(law_x, t)
         rhs = 3.0 * float(_tail_tol(law_sum, 2.0 * t / 3.0))
-        rows.append(verifier.CheckRow(float(t), lhs, rhs,
-                                      lhs <= rhs + verifier.IDENTITY_TOL))
+        rows.append(verifier.CheckRow(float(t), lhs, rhs, _reference_holds(lhs, rhs)))
     return verifier.InequalityReport(tuple(rows))
 
 
@@ -267,6 +266,47 @@ def test_scale_covariance():
     assert res_s.c_min == pytest.approx(res.c_min, rel=1e-9)
 
 
+def test_holds_is_relative_to_the_larger_side():
+    assert not verifier._holds(2e-20, 1e-20)
+    assert verifier._holds(1e6 + 1e-7, 1e6)
+    assert verifier._holds(np.array([1e-20, 1.0]), np.array([1e-20, 1.0]))
+    assert not verifier._holds(np.array([1e-20, 1.0]), np.array([0.0, 1.0]))
+
+
+def test_tails_dominated_refuses_constants_below_c_min_at_tiny_tails():
+    # on (-1, 9999) at 0.9999 / 0.0001 the binding coupled tail is 1e-20, far
+    # below an absolute slack of 1e-12
+    kf, dist = product_kernel(3, 5), DiscreteDistribution((-1.0, 9999.0), (0.9999, 0.0001))
+    law_l = exact_law(StatisticSpec(kf, "coupled"), dist)
+    law_r = exact_law(StatisticSpec(kf, "pattern", pattern=(0, 1, 2)), dist)
+    c_min = minimal_constant(law_l, law_r).c_min
+    assert c_min == pytest.approx(15.0045, abs=1e-4)
+    assert not tails_dominated(law_l, law_r, c_min / 2)
+    assert not tails_dominated(law_l, law_r, c_min * (1 - 1e-6))
+    assert tails_dominated(law_l, law_r, c_min)
+
+
+def test_search_constant_lemma3_at_large_atoms():
+    # the mixed law's values divided by l^k = 27 as a law of their own would
+    # merge adjacent support points near 1e17
+    dist = DiscreteDistribution((-1.0, 1e5), (0.5, 0.5))
+    res = search_constant(product_kernel(3, 4), dist, "lemma3", 3)
+    assert res.feasible and res.c_min == 27.0
+    assert res.c_min_scaled == pytest.approx(2.94765625, rel=1e-9)
+
+
+@pytest.mark.parametrize("j", range(-4, 6))
+def test_constants_do_not_change_with_the_scale_of_the_atoms(j):
+    kf = verifier.build_kernel("sym-coeff", 4, 3, seed=7)
+    dist = DiscreteDistribution(tuple(x * 10.0 ** j for x in (-1.0, 2.0, 0.5)),
+                                (0.5, 0.25, 0.25))
+    got = [search_constant(kf, dist, d).c_min for d in ("upper", "lower")]
+    for l in (2, 3):
+        res = search_constant(kf, dist, "lemma3", l)
+        got += [res.c_min, res.c_min_scaled]
+    assert got == pytest.approx([32 / 9, 1.0, 8.0, 1.0, 27.0, 1.0], rel=1e-12)
+
+
 @pytest.mark.parametrize("l", [1, 2])
 def test_search_constant_lemma3(l):
     res = search_constant(product_kernel(2, 3), rademacher(), "lemma3", l=l)
@@ -438,7 +478,12 @@ def test_run_corpus_skip_reasons_name_the_larger_law(budget):
         f"3^6 = 729 realizations exceeds budget {budget}")
 
 
-def _reference_slack(law_l, law_r, c):
+def _reference_holds(lhs, rhs):
+    # lhs <= rhs up to 1e-12 of the larger magnitude, at every entry
+    return bool(np.all(lhs - rhs <= 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))))
+
+
+def _reference_tails(law_l, law_r, c):
     # per-threshold masked tail sums on a dense grid: every positive support
     # point of both laws and every c * w, the points just above and below
     # each, the midpoints between them, and one point below them all
@@ -452,12 +497,12 @@ def _reference_slack(law_l, law_r, c):
     pts = np.unique(pts[pts > 0])
     ts = np.unique(np.concatenate([pts, pts * (1 + 1e-6), pts * (1 - 1e-6),
                                    (pts[1:] + pts[:-1]) / 2, pts[:1] / 2]))
-    return ts, np.array([masked_tail(law_l, t) - c * tail_tol(law_r, t / c)
-                         for t in ts])
+    return (ts, np.array([masked_tail(law_l, t) for t in ts]),
+            np.array([c * tail_tol(law_r, t / c) for t in ts]))
 
 
 def _reference_feasible(law_l, law_r, c):
-    return np.max(_reference_slack(law_l, law_r, c)[1]) <= 1e-12
+    return _reference_holds(*_reference_tails(law_l, law_r, c)[1:])
 
 
 def _law_pairs():
@@ -490,10 +535,11 @@ def test_tail_lookup_bit_identical_to_masked_sums(pair):
         # masked sums there bit for bit, and no other threshold binds
         ts, lhs, rhs = verifier._tail_rows(law_l, law_r, c)
         slack = lhs - rhs
-        ref_ts, ref_slack = _reference_slack(law_l, law_r, c)
+        ref_ts, ref_lhs, ref_rhs = _reference_tails(law_l, law_r, c)
         at = np.searchsorted(ref_ts, ts)
-        assert np.array_equal(ref_ts[at], ts) and np.array_equal(ref_slack[at], slack), c
-        assert tails_dominated(law_l, law_r, c) == (np.max(ref_slack) <= 1e-12), c
+        assert np.array_equal(ref_ts[at], ts), c
+        assert np.array_equal(ref_lhs[at] - ref_rhs[at], slack), c
+        assert tails_dominated(law_l, law_r, c) == _reference_holds(ref_lhs, ref_rhs), c
     # the closed-form constant is feasible and minimal under the reference
     res = minimal_constant(law_l, law_r)
     if not res.feasible:  # a right law with no positive point
